@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
-import tempfile
 from datetime import date
 
 import numpy as np
@@ -43,7 +43,9 @@ _HOUR_NS = 3600 * 10**9
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    # Created like open() creates files: mode 0o666 less the umask.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -71,10 +73,8 @@ def _parse_xmin_range(text: str) -> tuple[int, int]:
 def _load_series(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
     spec = InstrumentSpec(args.tick)
     with open(args.input, newline="") as f:
-        samples = parse_ticks(f, spec, columns=args.columns, delimiter=args.delimiter)
-    t = np.fromiter((s.time for s in samples), dtype=np.int64, count=len(samples))
-    v = np.fromiter((s.value for s in samples), dtype=np.int64, count=len(samples))
-    return t, v
+        ticks = parse_ticks(f, spec, columns=args.columns, delimiter=args.delimiter)
+    return ticks.times, ticks.values
 
 
 def _fit_kwargs(args: argparse.Namespace) -> dict:
@@ -88,6 +88,9 @@ def _kind_name(kind: Kind) -> str:
     return "min" if kind is Kind.MIN else "max"
 
 
+_PAIR_FIELDS = ("t_min", "v_min", "t_max", "v_max", "size")
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     t, v = _load_series(args)
     dec = decompose(v, t)
@@ -96,18 +99,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "tv_total": dec.tv_total,
         "tv_top": dec.tv_top,
     }
+    t_min, v_min, t_max, v_max = dec.pair_columns()
+    pair_cells = np.column_stack((t_min, v_min, t_max, v_max, v_max - v_min))
     if args.format == "json":
         doc = {
-            "pairs": [
-                {
-                    "t_min": p.minimum.time,
-                    "v_min": p.minimum.value,
-                    "t_max": p.maximum.time,
-                    "v_max": p.maximum.value,
-                    "size": p.size,
-                }
-                for p in dec.pairs
-            ],
+            "pairs": [dict(zip(_PAIR_FIELDS, row)) for row in pair_cells.tolist()],
             "top": {
                 "extrema": [
                     {"time": e.time, "value": e.value, "kind": _kind_name(e.kind)}
@@ -126,11 +122,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             json.dumps(doc, sort_keys=True, indent=2) + "\n",
         )
         return EXIT_OK
-    pair_rows = ["t_min,v_min,t_max,v_max,size"]
-    pair_rows += [
-        f"{p.minimum.time},{p.minimum.value},{p.maximum.time},{p.maximum.value},{p.size}"
-        for p in dec.pairs
-    ]
+    pairs_text = ",".join(_PAIR_FIELDS) + "\n"
+    pairs_text += ("%d,%d,%d,%d,%d\n" * len(pair_cells)) % tuple(pair_cells.ravel().tolist())
     top_rows = ["time,value,kind"]
     top_rows += [f"{e.time},{e.value},{_kind_name(e.kind)}" for e in dec.top.extrema]
     if dec.top.pending is not None:
@@ -139,7 +132,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "pair_count,tv_total,tv_top",
         f"{summary['pair_count']},{summary['tv_total']},{summary['tv_top']}",
     ]
-    _write_atomic(os.path.join(args.out, "pairs.csv"), "\n".join(pair_rows) + "\n")
+    _write_atomic(os.path.join(args.out, "pairs.csv"), pairs_text)
     _write_atomic(os.path.join(args.out, "top.csv"), "\n".join(top_rows) + "\n")
     _write_atomic(os.path.join(args.out, "summary.csv"), "\n".join(summary_rows) + "\n")
     return EXIT_OK

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_INT64_MAX = 2**63 - 1
+
+
 class StreamOrderError(ValueError):
     """Raised when sample times go backwards."""
 
@@ -127,20 +130,32 @@ class Decomposition:
     @property
     def pairs(self) -> list[PersistentPair]:
         if self._pairs is None:
+            mn, mx = Kind.MIN, Kind.MAX
+            self._pairs = [
+                PersistentPair(Extremum(tl, vl, mn), Extremum(th, vh, mx))
+                for tl, vl, th, vh in zip(*(c.tolist() for c in self.pair_columns()))
+            ]
+            self._deferred = None
+        return self._pairs
+
+    def pair_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(t_min, v_min, t_max, v_max) of all pairs as int64 arrays, in emission order.
+
+        Reading them does not build the PersistentPair list.
+        """
+        if self._pairs is None:
             et, ev, lo, hi = self._deferred
             ta = np.asarray(et, dtype=np.int64)
             va = np.asarray(ev, dtype=np.int64)
             il = np.asarray(lo, dtype=np.intp)
             ih = np.asarray(hi, dtype=np.intp)
-            mn, mx = Kind.MIN, Kind.MAX
-            self._pairs = [
-                PersistentPair(Extremum(tl, vl, mn), Extremum(th, vh, mx))
-                for tl, vl, th, vh in zip(
-                    ta[il].tolist(), va[il].tolist(), ta[ih].tolist(), va[ih].tolist()
-                )
-            ]
-            self._deferred = None
-        return self._pairs
+            return ta[il], va[il], ta[ih], va[ih]
+        cols = np.array(
+            [(p.minimum.time, p.minimum.value, p.maximum.time, p.maximum.value)
+             for p in self._pairs],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        return tuple(np.ascontiguousarray(c) for c in cols.T)
 
     @property
     def pair_count(self) -> int:
@@ -288,7 +303,10 @@ def decompose(
 
     Equivalent to pushing every sample through a Decomposer and calling
     finish(), but the flat-run collapse and extremum detection are
-    vectorised, which matters for million-sample inputs.
+    vectorised, which matters for million-sample inputs.  The arithmetic
+    is int64, so values must lie in the int64 range and both their spread
+    (max - min) and their total variation must fit in int64; other inputs
+    raise ValueError rather than wrap.
     """
     v = np.asarray(values)
     n = v.size
@@ -298,6 +316,11 @@ def decompose(
         return Decomposition([], TopStructure([], None), 0, 0)
     if v.dtype.kind not in "iu":
         raise TypeError("values must be integers (ticks)")
+    lo, hi = int(v.min()), int(v.max())
+    if hi > _INT64_MAX:
+        raise ValueError(f"value {hi} is outside the int64 range")
+    if hi - lo > _INT64_MAX:
+        raise ValueError(f"values span {hi - lo}, more than int64 holds")
     v = v.astype(np.int64, copy=False)
     if times is None:
         t = np.arange(n, dtype=np.int64)
@@ -327,8 +350,14 @@ def decompose(
     et = t2[idx]
     k = int(ev.size)
     # Monotone between consecutive extrema, so their differences carry the
-    # whole variation.
-    tv_total = int(np.abs(np.diff(ev)).sum())
+    # whole variation.  Each step fits in int64 (the spread does); the sum
+    # is taken in Python ints only when int64 could overflow.
+    if (k - 1) * (hi - lo) <= _INT64_MAX:
+        tv_total = int(np.abs(np.diff(ev)).sum())
+    else:
+        tv_total = sum(np.abs(np.diff(ev)).tolist())
+        if tv_total > _INT64_MAX:
+            raise ValueError(f"total variation {tv_total} is more than int64 holds")
 
     # The sweep below mirrors Decomposer/_sweep but runs on bare ints: the
     # stack of extremum indices carries a mirrored value stack, and the

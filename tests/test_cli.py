@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from datetime import date
@@ -123,6 +125,45 @@ class TestDecompose:
         )
         assert (tmp_path / "pairs.csv").read_text() == "t_min,v_min,t_max,v_max,size\n"
         assert (tmp_path / "top.csv").read_text() == "time,value,kind\n"
+
+    # sha256 of decompose's outputs on the 1k-row fixture, as the
+    # row-by-row Fraction parser and PersistentPair writer produced them.
+    FIXTURE_SHA256 = {
+        "pairs.csv": "1b58d7b5ab057e2f6bc1274ea2392b0d0138a6f564d20d11ed3cee51969e3778",
+        "top.csv": "e373c3a212589de96dd3cf39b4beb29c8dca8044af43323f76f6707e2f8a221e",
+        "summary.csv": "e19868770d51529f7f3932c891a4251b829c5e0c2504e5cf902b30fc7bd9138f",
+        "decompose.json": "05893939f24e507831338be21129a03a35cd88dea40f5b9afab2f03eb361fcef",
+    }
+
+    def test_fixture_outputs_pinned(self, tmp_path):
+        src = Path(__file__).parent / "data" / "quotes_1k.csv"
+        for fmt in ("csv", "json"):
+            argv = ["decompose", str(src), "--tick", "0.01", "--format", fmt]
+            assert run(*argv, "--out", str(tmp_path)) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.FIXTURE_SHA256
+        }
+        assert got == self.FIXTURE_SHA256
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        src = tmp_path / "quotes.csv"
+        write_reference_csv(src)
+        for mask in (0o022, 0o077):
+            out = tmp_path / f"out{mask:o}"
+            out.mkdir()
+            old = os.umask(mask)
+            try:
+                rc = run(
+                    "decompose", str(src),
+                    "--tick", "0.0001", "--columns", "time,price", "--out", str(out),
+                )
+            finally:
+                os.umask(old)
+            assert rc == 0
+            assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == dict.fromkeys(
+                ("pairs.csv", "top.csv", "summary.csv"), 0o666 & ~mask
+            )
 
     def test_module_entrypoint_smoke(self, tmp_path):
         src = tmp_path / "quotes.csv"

@@ -151,6 +151,50 @@ class TestBatchDecompose:
         # repeated access returns the same list object
         assert dec.pairs is dec.pairs
 
+    def test_pair_columns_in_both_states(self):
+        values = [3, 6, 0, 7, 2, 5, 4, 8, 1, 9]
+        times = [10 * i for i in range(len(values))]
+        pairs = pair_tuples(stream_decompose(values, times))
+        want = [np.array(c, dtype=np.int64) for c in zip(*pairs)]
+        deferred = decompose(values, times)
+        for dec in (deferred, stream_decompose(values, times)):
+            cols = dec.pair_columns()
+            assert all(c.dtype == np.int64 for c in cols)
+            assert all(np.array_equal(c, w) for c, w in zip(cols, want))
+        assert deferred._pairs is None  # columns did not build the objects
+        deferred.pairs
+        assert all(np.array_equal(c, w) for c, w in zip(deferred.pair_columns(), want))
+
+    def test_pair_columns_empty(self):
+        for dec in (decompose([]), decompose([1, 2, 3]), Decomposer().finish()):
+            assert [c.shape for c in dec.pair_columns()] == [(0,)] * 4
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 2**63 + 5, 1, 2**63 + 9], dtype=np.uint64),  # values above int64
+            np.array([-(3 << 61), 3 << 61], dtype=np.int64),  # spread 1.5 * 2**63
+            np.array([0, 2**62, 0, 2**62, 0], dtype=np.int64),  # variation 2**64
+        ],
+    )
+    def test_rejects_what_int64_cannot_hold(self, values):
+        with pytest.raises(ValueError, match="int64"):
+            decompose(values)
+
+    def test_int64_extremes_are_exact(self):
+        cases = (
+            [0, 2**63 - 1],
+            [-(2**62), 2**62 - 1],
+            [2**63 - 1, 2**63 - 2, 2**63 - 1],
+            [0, 2**62, 2**62 - 1, 2**62, 2**62 - 1],  # steps x spread overflows, the sum does not
+        )
+        for values in cases:
+            for dtype in (np.int64, np.uint64):
+                if dtype is np.uint64 and min(values) < 0:
+                    continue
+                dec = decompose(np.array(values, dtype=dtype))
+                assert_same_decomposition(dec, stream_decompose(values))
+
 
 class TestConservation:
     @given(st.lists(st.integers(-1000, 1000), max_size=200))

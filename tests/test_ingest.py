@@ -5,15 +5,18 @@ from __future__ import annotations
 import calendar as _cal
 import csv
 import io
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistick import ingest
 from persistick.core import Sample, total_variation
 from persistick.ingest import (
     CalendarError,
@@ -21,6 +24,7 @@ from persistick.ingest import (
     RollRule,
     SpliceError,
     TickParseError,
+    TickSeries,
     build_continuous,
     dequantize,
     parse_ticks,
@@ -196,6 +200,249 @@ class TestParseErrors:
         assert "and 2 more" in str(ei.value)
 
 
+PATHS = [parse_ticks, ingest._parse_ticks_by_row]
+
+
+class TestRowGrammar:
+    @pytest.mark.parametrize("parse", PATHS)
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("1,1/3", "bad price field"),
+            ("1,1_0.5", "bad price field"),
+            ("1,1e1", "bad price field"),
+            ("1,\u0663", "bad price field"),
+            ("\u0663,5", "bad timestamp '\u0663'"),
+            ("1_000,5", "bad timestamp '1_000'"),
+            ("9223372036854775808,5", "bad timestamp '9223372036854775808'"),
+            ("2262-04-12T00:00:00Z,5", "bad timestamp '2262-04-12T00:00:00Z'"),
+            ("1,9300000000000000000", "price is outside the int64 tick range"),
+        ],
+    )
+    def test_rejected_with_line_number(self, parse, row, error):
+        with pytest.raises(TickParseError) as ei:
+            parse(io.StringIO(f"0,5\n{row}\n"), InstrumentSpec(1), columns="time,price")
+        assert ei.value.errors == [(2, error)]
+
+    @pytest.mark.parametrize("parse", PATHS)
+    def test_accepted_forms(self, parse):
+        text = (
+            "1,5.\n"
+            "2,.5\n"
+            "3, +7.25 \n"
+            "0004,007\n"
+            "1970-01-01T00:00:00.000005Z,2\n"
+            "1970-01-01T00:00:01Z,3\n"
+            "1970-01-01T00:00:02+00:00,4\n"
+        )
+        got = parse(io.StringIO(text), InstrumentSpec("0.5"), columns="time,price")
+        assert got == [
+            Sample(1, 10),
+            Sample(2, 1),
+            Sample(3, 14),
+            Sample(4, 14),
+            Sample(5000, 4),
+            Sample(10**9, 6),
+            Sample(2 * 10**9, 8),
+        ]
+
+    def test_fraction_strings_still_quantize(self):
+        assert quantize("1/3", "1/300") == 100
+        assert InstrumentSpec("1/3").tick_size == Fraction(1, 3)
+
+
+class TestTickSeries:
+    def test_columns_and_items(self):
+        got = parse_ticks(io.StringIO("0,5\n1,6\n"), InstrumentSpec(1), columns="time,price")
+        assert isinstance(got, TickSeries)
+        assert got.times.dtype == np.int64 and got.values.dtype == np.int64
+        assert len(got) == 2
+        assert got[1] == Sample(1, 6) and got[-1] == Sample(1, 6)
+        assert got[:1] == [Sample(0, 5)]
+        assert list(got) == [Sample(0, 5), Sample(1, 6)]
+        assert got != [Sample(0, 5)]
+        assert got == TickSeries(np.array([0, 1]), np.array([5, 6]))
+
+    def test_empty_input(self):
+        for text in ("", "\n\n", "  \r\n"):
+            got = parse_ticks(io.StringIO(text), InstrumentSpec(1))
+            assert len(got) == 0 and got == []
+
+
+# How a quote file can reach parse_ticks.  Universal-newline streams take
+# the block path; the others are taken line item by line item.
+_SOURCES = {
+    "universal": lambda text: io.StringIO(text, newline=""),
+    "translated": lambda text: io.StringIO(text, newline=None),
+    "lf": lambda text: io.StringIO(text, newline="\n"),
+    "list": lambda text: list(io.StringIO(text, newline="")),
+}
+
+
+def _outcome(parse, source, text, spec, columns, delimiter=","):
+    try:
+        got = parse(_SOURCES[source](text), spec, columns=columns, delimiter=delimiter)
+    except TickParseError as e:
+        return "errors", e.errors
+    except csv.Error as e:  # csv refuses a bare CR inside a line item
+        return "csv.Error", str(e)
+    return "ok", got.times.tolist(), got.values.tolist()
+
+
+def _assert_paths_agree(text, spec, columns, delimiter=",", block_chars=(1, 7, 3 << 20)):
+    """parse_ticks agrees with the per-row path, for every source and block size."""
+    for source in _SOURCES:
+        want = _outcome(ingest._parse_ticks_by_row, source, text, spec, columns, delimiter)
+        for chars in block_chars:
+            with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+                assert _outcome(parse_ticks, source, text, spec, columns, delimiter) == want
+    return want
+
+
+_ISO_EDGES = [
+    "1677-12-31T23:59:59Z",
+    "1678-01-01T00:00:00Z",
+    "2261-12-31T23:59:59.999999Z",
+    "2262-01-01T00:00:00Z",
+    "2024-02-29T12:00:00Z",
+    "2023-02-29T12:00:00Z",
+    "2024-13-01T00:00:00Z",
+    "2024-01-01T24:00:00Z",
+    "2024-01-01T00:60:00Z",
+    "2024-01-01T00:00:60Z",
+    "2024-01-01T00:00:00.12345Z",
+    "2024-01-01 00:00:00Z",
+]
+_PRICE_ODDITIES = [
+    "", " ", "1/3", "1_0.5", "1e1", "\u0663", "abc", "1.2.3", ".", "-1.5", "+2.5",
+    "0", "0.000", " 3.25", "9" * 18, "9" * 19, "1" + "0" * 18, "123456789.123456789",
+    '"5.5"', "5.5\r", "\u00a05",
+]
+_TIME_ODDITIES = [
+    "", "-5", "+5", "007", "1_000", "\u0663", "999999999999999999",
+    "9223372036854775807", "9223372036854775808", " 12", "1.5", "junk",
+]
+
+
+@st.composite
+def _quote_files(draw):
+    """Quote files mixing rows the block path takes with rows it leaves to the row path.
+
+    Half the files are clean, so their parsed values are compared; the
+    rest mix in malformed fields, crossed quotes and, sometimes, a time
+    going backwards.
+    """
+    layout = draw(st.sampled_from(["time,bid,ask", "time,price"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    style = draw(st.sampled_from(["bare", "iso_s", "iso_us", "mixed"]))
+    messy = draw(st.booleans())
+    steps = [0, 1, 10**3, 10**6, 10**9, 86_400 * 10**9]
+    if style == "mixed":  # whole seconds, so every format gives the same time
+        steps = [0, 10**9, 86_400 * 10**9]
+    if messy and draw(st.booleans()):
+        steps.append(-(10**9))
+    t = draw(st.integers(0, 2 * 10**18))
+    if style == "mixed":
+        t -= t % 10**9
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = "valid"
+        if messy:
+            kinds = ["valid"] * 8 + ["blank", "fields", "odd_time", "odd_price"]
+            kind = draw(st.sampled_from(kinds))
+        t += draw(st.sampled_from(steps))
+        stamp = datetime(1970, 1, 1) + timedelta(microseconds=max(t, 0) // 1000)
+        formats = {
+            "bare": str(t),
+            "iso_s": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "iso_us": stamp.strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
+            "offset": stamp.strftime("%Y-%m-%dT%H:%M:%S+00:00"),
+        }
+        time_field = formats[draw(st.sampled_from(list(formats))) if style == "mixed" else style]
+        decimals = draw(st.integers(0, 5))
+        units = [draw(st.integers(1, 10**draw(st.integers(1, 12))))]
+        if layout == "time,bid,ask":
+            units.append(units[0] + draw(st.integers(-2 if messy else 0, 40)))
+        prices = [
+            f"{u // 10**decimals}.{u % 10**decimals:0{decimals}d}" if decimals else str(u)
+            for u in units
+        ]
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        if kind == "fields":
+            prices = prices[:-1] if draw(st.booleans()) else prices + ["1"]
+        if kind == "odd_time":
+            time_field = draw(st.sampled_from(_TIME_ODDITIES + _ISO_EDGES))
+        if kind == "odd_price":
+            prices[draw(st.integers(0, len(prices) - 1))] = draw(st.sampled_from(_PRICE_ODDITIES))
+        lines.append(delimiter.join([time_field, *prices]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    tick = draw(st.sampled_from(["0.01", "0.0001", "1", "0.25", "1/3", "7", "1e-18"]))
+    return text, InstrumentSpec(tick), layout, delimiter
+
+
+class TestBlockParserMatchesRowPath:
+    @given(
+        case=_quote_files(),
+        block_chars=st.integers(1, 200),
+        source=st.sampled_from(["universal", "universal", "translated", "lf"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_ticks_and_errors(self, case, block_chars, source):
+        text, spec, columns, delimiter = case
+        want = _outcome(ingest._parse_ticks_by_row, source, text, spec, columns, delimiter)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            got = _outcome(parse_ticks, source, text, spec, columns, delimiter)
+        assert got == want
+
+    def test_fixture_across_block_sizes(self):
+        text = (DATA / "quotes_1k.csv").read_text()
+        want = _assert_paths_agree(
+            text, InstrumentSpec("0.01"), "time,bid,ask", block_chars=(1, 100, 3 << 20)
+        )
+        assert want[0] == "ok" and len(want[1]) == 1000
+
+    @pytest.mark.parametrize("layout", ["time,price", "time,bid,ask"])
+    @pytest.mark.parametrize("field", _TIME_ODDITIES + _ISO_EDGES + _PRICE_ODDITIES)
+    def test_each_odd_field(self, field, layout):
+        prices = ",".join(["1.25"] * layout.count(","))
+        for text in (f"{field},{prices}\n", f"7,{prices[:-4]}{field}\n"):
+            _assert_paths_agree(text, InstrumentSpec("0.01"), layout, block_chars=(3 << 20,))
+
+    @pytest.mark.parametrize("source", ["universal", "translated"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "layout, rows",
+        [
+            ("time,bid,ask", ["1704187800000000000,1.5,1.75", "2024-01-02T09:30:00Z,1.5,1.75"]),
+            ("time,price", ["2024-01-02T09:30:00.250000Z,.5", "1704187800250000000,0002."]),
+        ],
+    )
+    def test_clean_rows_skip_the_row_path(self, layout, rows, newline, source):
+        text = newline.join(rows) + newline
+        spec = InstrumentSpec("0.25")
+        with mock.patch.object(ingest._TickReader, "_row", side_effect=AssertionError):
+            got = _outcome(parse_ticks, source, text, spec, layout)
+        assert got == _outcome(ingest._parse_ticks_by_row, source, text, spec, layout)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '0,1.0,1.1\n1,"1.0",1.1\n2,1.0,1.1\n',  # quotes: csv decides the records
+            '0,1.0,1.1\n1,"1.0\n2",1.1\n3,1.0,1.1\n',  # a quoted newline joins two lines
+            "0,1.0,1.1\r1,1.0,1.1\n2,1.0,1.1\n",  # a bare carriage return ends a record
+            "5,1.0,1.1\n4,1.0,1.1\n3,junk\n",  # decreasing time in one block
+            "0,1.0,1.1,5\n1,1.0\n2,1.0,1.1\n",  # delimiter counts add up across lines
+        ],
+    )
+    def test_awkward_inputs(self, text):
+        _assert_paths_agree(text, InstrumentSpec("0.1"), "time,bid,ask")
+
+
 class TestInstrumentSpec:
     def test_requires_positive_tick(self):
         with pytest.raises(ValueError):
@@ -230,6 +477,10 @@ class TestRollRule:
     def test_default_eligible_months(self):
         rule = RollRule([("H", date(2024, 3, 15))])
         assert rule.eligible_months == frozenset({3, 6, 9, 12})
+
+    def test_duplicate_contract_rejected(self):
+        with pytest.raises(CalendarError, match="'H' appears twice"):
+            RollRule([("H", date(2024, 3, 15)), ("H", date(2024, 6, 21))])
 
 
 def _mk(times_values):
