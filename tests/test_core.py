@@ -15,6 +15,7 @@ from persistick.core import (
     decompose,
     total_variation,
 )
+from persistick.oracle import decomposition_digest, gen_random_walk, level_sweep_pairs
 
 from conftest import (
     assert_conserved,
@@ -232,3 +233,44 @@ class TestTypes:
     def test_repr_small(self):
         dec = decompose([5, 1, 4, 2, 6])
         assert "pairs=1" in repr(dec)
+
+
+class TestStreamBeyondInt64:
+    """The streaming path is exact on Python ints of any size."""
+
+    @pytest.mark.parametrize("scalar", [int, np.uint64])
+    def test_values_above_int64(self, scalar):
+        values = [0, 2**63 + 5, 1, 2**63 + 9]
+        d = Decomposer()
+        emitted = [d.push((t, scalar(v))) for t, v in enumerate(values)]
+        dec = d.finish()
+        assert dec.tv_total == 27670116110564327441
+        assert [len(e) for e in emitted] == [0, 0, 0, 1]
+        assert pair_tuples(dec) == [(2, 1, 1, 2**63 + 5)]
+        assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values))
+
+    def test_times_above_int64(self):
+        values = [5, 1, 4, 2, 6, 3, 7]
+        times = [2**63 + 10 * i for i in range(len(values))]
+        dec = stream_decompose(values, times)
+        assert pair_tuples(dec) == [(2**63 + 30, 2, 2**63 + 20, 4), (2**63 + 50, 3, 2**63 + 40, 6)]
+        assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values, times))
+
+    def test_value_leaves_int64_after_frozen_chunks(self, monkeypatch):
+        monkeypatch.setattr(Decomposer, "_CHUNK", 4)
+        t, v = gen_random_walk(400, seed=11, kind="pm1", zero_prob=0.3)
+        values = v.tolist() + [2**64, 2, 2**63 + 7, 2**63 + 1, 2**64 + 1] + (v[:100] + 5).tolist()
+        times = list(range(len(values)))
+        d = Decomposer()
+        for s in zip(times[:400], values[:400]):
+            d.push(s)
+        before = d.finish()
+        assert before.pair_count > 3 * 4  # several chunks were frozen
+        want_before = decomposition_digest(before)
+        emitted = []
+        for s in zip(times[400:], values[400:]):
+            emitted += d.push(s)
+        assert (2**63 + 1, 2**63 + 7) in [(p.minimum.value, p.maximum.value) for p in emitted]
+        dec = d.finish()
+        assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values, times))
+        assert decomposition_digest(before) == want_before
