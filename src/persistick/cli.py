@@ -89,6 +89,12 @@ def _kind_name(kind: Kind) -> str:
 
 
 _PAIR_FIELDS = ("t_min", "v_min", "t_max", "v_max", "size")
+# One pair object as json.dumps(..., sort_keys=True, indent=2) lays it out
+# inside the document's "pairs" list.
+_JSON_PAIR = (
+    '    {\n      "size": %d,\n      "t_max": %d,\n      "t_min": %d,\n'
+    '      "v_max": %d,\n      "v_min": %d\n    },\n'
+)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -100,10 +106,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "tv_top": dec.tv_top,
     }
     t_min, v_min, t_max, v_max = dec.pair_columns()
-    pair_cells = np.column_stack((t_min, v_min, t_max, v_max, v_max - v_min))
+    size = v_max - v_min
     if args.format == "json":
-        doc = {
-            "pairs": [dict(zip(_PAIR_FIELDS, row)) for row in pair_cells.tolist()],
+        rest = {
             "top": {
                 "extrema": [
                     {"time": e.time, "value": e.value, "kind": _kind_name(e.kind)}
@@ -117,11 +122,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             },
             "summary": summary,
         }
-        _write_atomic(
-            os.path.join(args.out, "decompose.json"),
-            json.dumps(doc, sort_keys=True, indent=2) + "\n",
-        )
+        # The same bytes as json.dumps of the whole document with sort_keys
+        # and indent=2, but the pairs come from the columns in one format.
+        cells = np.column_stack((size, t_max, t_min, v_max, v_min))
+        pairs = (_JSON_PAIR * len(cells)) % tuple(cells.ravel().tolist())
+        pairs = f"[\n{pairs[:-2]}\n  ]" if len(cells) else "[]"
+        text = '{\n  "pairs": ' + pairs + ",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:]
+        _write_atomic(os.path.join(args.out, "decompose.json"), text + "\n")
         return EXIT_OK
+    pair_cells = np.column_stack((t_min, v_min, t_max, v_max, size))
     pairs_text = ",".join(_PAIR_FIELDS) + "\n"
     pairs_text += ("%d,%d,%d,%d,%d\n" * len(pair_cells)) % tuple(pair_cells.ravel().tolist())
     top_rows = ["time,value,kind"]

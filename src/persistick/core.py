@@ -82,16 +82,34 @@ class TopStructure:
         return vals
 
 
+# Four int64 columns (t_min, v_min, t_max, v_max) of consecutive pairs.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
+_NO_PAIRS.flags.writeable = False  # shared by every empty block
+
+
+def _pairs_from_columns(cols: Iterable[np.ndarray]) -> list[PersistentPair]:
+    mn, mx = Kind.MIN, Kind.MAX
+    return [
+        PersistentPair(Extremum(tl, vl, mn), Extremum(th, vh, mx))
+        for tl, vl, th, vh in zip(*(c.tolist() for c in cols))
+    ]
+
+
 class Decomposition:
     """Result of a decomposition: completed pairs, top structure, variations.
 
-    The pair list can be deferred: batch decomposition of multi-million
-    sample series stores bare index arrays and only builds PersistentPair
-    objects when .pairs is first read.  sizes() and pair_count stay cheap
-    either way.
+    Pairs are held as int64 column blocks (t_min, v_min, t_max, v_max) in
+    emission order.  Batch decompose gives one block; a Decomposer
+    snapshot shares the blocks its stream has already frozen.
+    PersistentPair objects are built only when .pairs is first read, so
+    sizes(), pair_count and pair_columns() stay cheap.  A decomposition
+    built from a pair list (the oracle, or a stream whose times or values
+    leave int64) keeps that list and exact Python ints instead.
     """
 
-    __slots__ = ("top", "tv_total", "tv_top", "_pairs", "_deferred", "_sizes")
+    __slots__ = ("top", "tv_total", "tv_top", "_blocks", "_pairs", "_sizes")
 
     def __init__(
         self,
@@ -100,42 +118,27 @@ class Decomposition:
         tv_total: int,
         tv_top: int,
     ) -> None:
+        self._blocks: list[_Block] | None = None
         self._pairs: list[PersistentPair] | None = pairs
         self.top = top
         self.tv_total = tv_total
         self.tv_top = tv_top
-        self._deferred: tuple | None = None
         self._sizes: np.ndarray | None = None
 
     @classmethod
-    def _from_indices(
-        cls,
-        et: np.ndarray | Sequence[int],
-        ev: np.ndarray | Sequence[int],
-        lo: Sequence[int],
-        hi: Sequence[int],
-        top: TopStructure,
-        tv_total: int,
-        tv_top: int,
+    def _from_blocks(
+        cls, blocks: list[_Block], top: TopStructure, tv_total: int, tv_top: int
     ) -> Decomposition:
-        d = cls.__new__(cls)
+        """A decomposition over a non-empty list of int64 column blocks, shared, never written."""
+        d = cls([], top, tv_total, tv_top)
+        d._blocks = blocks
         d._pairs = None
-        d.top = top
-        d.tv_total = tv_total
-        d.tv_top = tv_top
-        d._deferred = (et, ev, lo, hi)
-        d._sizes = None
         return d
 
     @property
     def pairs(self) -> list[PersistentPair]:
         if self._pairs is None:
-            mn, mx = Kind.MIN, Kind.MAX
-            self._pairs = [
-                PersistentPair(Extremum(tl, vl, mn), Extremum(th, vh, mx))
-                for tl, vl, th, vh in zip(*(c.tolist() for c in self.pair_columns()))
-            ]
-            self._deferred = None
+            self._pairs = _pairs_from_columns(self.pair_columns())
         return self._pairs
 
     def pair_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -143,46 +146,42 @@ class Decomposition:
 
         Reading them does not build the PersistentPair list.
         """
-        if self._pairs is None:
-            et, ev, lo, hi = self._deferred
-            ta = np.asarray(et, dtype=np.int64)
-            va = np.asarray(ev, dtype=np.int64)
-            il = np.asarray(lo, dtype=np.intp)
-            ih = np.asarray(hi, dtype=np.intp)
-            return ta[il], va[il], ta[ih], va[ih]
-        cols = np.array(
-            [(p.minimum.time, p.minimum.value, p.maximum.time, p.maximum.value)
-             for p in self._pairs],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        return tuple(np.ascontiguousarray(c) for c in cols.T)
+        if self._blocks is None:
+            cols = np.array(
+                [(p.minimum.time, p.minimum.value, p.maximum.time, p.maximum.value)
+                 for p in self._pairs],
+                dtype=np.int64,
+            ).reshape(-1, 4)
+            return tuple(np.ascontiguousarray(c) for c in cols.T)
+        return tuple(np.concatenate(c) for c in zip(*self._blocks))
 
     @property
     def pair_count(self) -> int:
-        if self._pairs is not None:
+        if self._blocks is None:
             return len(self._pairs)
-        return len(self._deferred[2])
+        return sum(len(b[0]) for b in self._blocks)
 
     def sizes(self) -> np.ndarray:
         """Movement sizes of all pairs, in emission order."""
         if self._sizes is None:
-            if self._pairs is None:
-                _, ev, lo, hi = self._deferred
-                arr = np.asarray(ev, dtype=np.int64)
-                self._sizes = arr[np.asarray(hi, dtype=np.intp)] - arr[
-                    np.asarray(lo, dtype=np.intp)
-                ]
-            else:
+            if self._blocks is None:
                 self._sizes = np.fromiter(
                     (p.maximum.value - p.minimum.value for p in self._pairs),
                     dtype=np.int64,
                     count=len(self._pairs),
                 )
+            else:
+                self._sizes = np.concatenate([b[3] - b[1] for b in self._blocks])
         return self._sizes
 
     def pair_variation(self) -> int:
-        """Total variation captured by the pairs: sum of 2 * size."""
-        return 2 * int(self.sizes().sum())
+        """Total variation captured by the pairs: sum of 2 * size, exact."""
+        if self._blocks is None:
+            return 2 * sum(p.maximum.value - p.minimum.value for p in self._pairs)
+        sizes = self.sizes()
+        if sizes.size * int(sizes.max(initial=0)) <= _INT64_MAX:
+            return 2 * int(sizes.sum())
+        return 2 * sum(sizes.tolist())
 
     def __repr__(self) -> str:
         return (
@@ -211,15 +210,28 @@ class Decomposer:
     a flat stretch acts as a single point at its first timestamp.  finish()
     reports the state without closing the stream; pushing may continue
     afterwards.
+
+    The open top structure is two int lists (times, values); extremum
+    kinds alternate along it, so none is stored.  Completed pairs go to
+    four int64 columns, frozen into numpy blocks every _CHUNK pairs, so a
+    snapshot shares the frozen blocks and copies only the open chunk.  If
+    a pair's time, value or size leaves int64, the stream moves once to a
+    list of PersistentPair objects with exact Python ints and stays there.
     """
 
+    _CHUNK = 1 << 14  # pairs per frozen block
+
     def __init__(self) -> None:
-        self._stack: list[Extremum] = []
-        self._pairs: list[PersistentPair] = []
-        self._held: tuple[int, int] | None = None
+        self._times: list[int] = []
+        self._values: list[int] = []
+        self._held_t = 0
+        self._held_v: int | None = None
         self._dir = 0
         self._last_time: int | None = None
         self._tv_total = 0
+        self._cols = _open_chunk()
+        self._blocks: list[_Block] = []
+        self._pairs: list[PersistentPair] | None = None  # replaces the columns beyond int64
 
     def push(self, sample: Sample | tuple[int, int]) -> list[PersistentPair]:
         t, v = sample
@@ -230,69 +242,111 @@ class Decomposer:
                 f"sample time {t} precedes previous time {self._last_time}"
             )
         self._last_time = t
-        if self._held is None:
-            self._held = (t, v)
+        held_v = self._held_v
+        if held_v is None:
+            self._held_t = t
+            self._held_v = v
             return []
-        held_t, held_v = self._held
         if v == held_v:
             return []
-        self._tv_total += abs(v - held_v)
-        d = 1 if v > held_v else -1
-        if d != self._dir:
-            kind = Kind.MIN if d > 0 else Kind.MAX
-            self._stack.append(Extremum(held_t, held_v, kind))
-            self._dir = d
-        self._held = (t, v)
-        emitted = _sweep(self._stack, d, v)
-        self._pairs.extend(emitted)
-        return emitted
+        # Pop completed reversals off the stack while v allows; innermost
+        # (smallest) first.  When two minima tie in value the earlier one
+        # joins the pair and the later survives in its place; tied maxima
+        # need no special case, the pop below the newer one already leaves
+        # the older in the top.
+        st = self._times
+        sv = self._values
+        out = []
+        if v > held_v:
+            self._tv_total += v - held_v
+            if self._dir != 1:
+                st.append(self._held_t)
+                sv.append(held_v)
+                self._dir = 1
+            self._held_t = t
+            self._held_v = v
+            while len(sv) >= 3:
+                v1 = sv[-1]
+                v3 = sv[-3]
+                if v3 > v1 or v < sv[-2]:
+                    break
+                if v3 == v1:
+                    out.append(self._record(st[-3], v3, st[-2], sv[-2]))
+                    del st[-3:-1]
+                    del sv[-3:-1]
+                else:
+                    out.append(self._record(st[-1], v1, st[-2], sv[-2]))
+                    del st[-2:]
+                    del sv[-2:]
+        else:
+            self._tv_total += held_v - v
+            if self._dir != -1:
+                st.append(self._held_t)
+                sv.append(held_v)
+                self._dir = -1
+            self._held_t = t
+            self._held_v = v
+            while len(sv) >= 3:
+                if sv[-3] < sv[-1] or v > sv[-2]:
+                    break
+                out.append(self._record(st[-2], sv[-2], st[-1], sv[-1]))
+                del st[-2:]
+                del sv[-2:]
+        return out
+
+    def _record(self, tl: int, vl: int, th: int, vh: int) -> PersistentPair:
+        """Store one completed pair; return it as a transient PersistentPair."""
+        pair = PersistentPair(Extremum(tl, vl, Kind.MIN), Extremum(th, vh, Kind.MAX))
+        if self._pairs is not None:
+            self._pairs.append(pair)
+            return pair
+        t_min, v_min, t_max, v_max = cols = self._cols
+        n = len(t_min)
+        try:
+            t_min.append(tl)
+            v_min.append(vl)
+            t_max.append(th)
+            v_max.append(vh)
+            fits = vh - vl <= _INT64_MAX  # so that sizes() cannot wrap
+        except OverflowError:
+            fits = False
+        if not fits:
+            for c in cols:
+                del c[n:]
+            self._pairs = _pairs_from_columns(
+                np.concatenate(c) for c in zip(*self._snapshot_blocks())
+            )
+            self._pairs.append(pair)
+            self._blocks = self._cols = None
+        elif n + 1 == self._CHUNK:
+            self._blocks.append(tuple(np.frombuffer(c, dtype=np.int64) for c in cols))
+            self._cols = _open_chunk()
+        return pair
+
+    def _snapshot_blocks(self) -> list[_Block]:
+        """The frozen blocks, shared, and a copy of the open chunk."""
+        return self._blocks + [tuple(np.array(c, dtype=np.int64) for c in self._cols)]
 
     def finish(self) -> Decomposition:
-        extrema = list(self._stack)
-        pending = Sample(*self._held) if self._held is not None else None
+        # The top of the stack is the extremum of the last turn, a minimum
+        # while rising; kinds alternate below it.
+        n = len(self._times)
+        kinds = (Kind.MIN, Kind.MAX) if self._dir > 0 else (Kind.MAX, Kind.MIN)
+        extrema = [
+            Extremum(t, v, kinds[(n - i - 1) % 2])
+            for i, (t, v) in enumerate(zip(self._times, self._values))
+        ]
+        pending = None if self._held_v is None else Sample(self._held_t, self._held_v)
         top = TopStructure(extrema, pending)
         vals = top.values()
         tv_top = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
-        return Decomposition(
-            pairs=list(self._pairs),
-            top=top,
-            tv_total=self._tv_total,
-            tv_top=tv_top,
-        )
+        if self._pairs is not None:
+            return Decomposition(list(self._pairs), top, self._tv_total, tv_top)
+        return Decomposition._from_blocks(self._snapshot_blocks(), top, self._tv_total, tv_top)
 
 
-def _sweep(stack: list[Extremum], d: int, x: int) -> list[PersistentPair]:
-    """Pop completed reversals off the stack while the current value x allows.
-
-    Innermost (smallest) reversals complete first.  When two minima tie in
-    value the earlier one joins the pair and the later survives in its
-    place; tied maxima need no special case, the pop below the newer one
-    already leaves the older in the top.
-    """
-    out: list[PersistentPair] = []
-    if d > 0:
-        while len(stack) >= 3:
-            s1 = stack[-1]
-            s2 = stack[-2]
-            s3 = stack[-3]
-            if s3.value > s1.value or x < s2.value:
-                break
-            if s3.value == s1.value:
-                out.append(PersistentPair(minimum=s3, maximum=s2))
-                del stack[-3:-1]
-            else:
-                out.append(PersistentPair(minimum=s1, maximum=s2))
-                del stack[-2:]
-    else:
-        while len(stack) >= 3:
-            s1 = stack[-1]
-            s2 = stack[-2]
-            s3 = stack[-3]
-            if s3.value < s1.value or x > s2.value:
-                break
-            out.append(PersistentPair(minimum=s2, maximum=s1))
-            del stack[-2:]
-    return out
+def _open_chunk() -> tuple[array, array, array, array]:
+    return array("q"), array("q"), array("q"), array("q")
 
 
 def decompose(
@@ -313,7 +367,7 @@ def decompose(
     if times is not None and np.asarray(times).size != n:
         raise ValueError("times and values length mismatch")
     if n == 0:
-        return Decomposition([], TopStructure([], None), 0, 0)
+        return Decomposition._from_blocks([(_NO_PAIRS,) * 4], TopStructure([], None), 0, 0)
     if v.dtype.kind not in "iu":
         raise TypeError("values must be integers (ticks)")
     lo, hi = int(v.min()), int(v.max())
@@ -341,13 +395,16 @@ def decompose(
         dv2 = np.diff(v2)
     if v2.size == 1:
         top = TopStructure([], Sample(int(t2[0]), int(v2[0])))
-        return Decomposition([], top, 0, 0)
+        return Decomposition._from_blocks([(_NO_PAIRS,) * 4], top, 0, 0)
 
     rising = dv2 > 0  # dv2 is never zero after the collapse
     turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
     idx = np.concatenate(([0], turns, [v2.size - 1]))
     ev = v2[idx]
     et = t2[idx]
+    # Only the extrema are used from here on.  Freeing the rest now keeps
+    # the sweep and the pair gather below from adding to peak memory.
+    del v, t, dv, keep, v2, t2, dv2, rising, turns, idx
     k = int(ev.size)
     # Monotone between consecutive extrema, so their differences carry the
     # whole variation.  Each step fits in int64 (the spread does); the sum
@@ -359,7 +416,7 @@ def decompose(
         if tv_total > _INT64_MAX:
             raise ValueError(f"total variation {tv_total} is more than int64 holds")
 
-    # The sweep below mirrors Decomposer/_sweep but runs on bare ints: the
+    # The sweep below mirrors Decomposer.push but runs on bare ints: the
     # stack of extremum indices carries a mirrored value stack, and the
     # input is consumed in blocks so live Python ints stay cache-resident
     # even for multi-million-sample series.  Pairs materialise lazily.
@@ -412,6 +469,8 @@ def decompose(
     top = TopStructure(extrema, Sample(int(et[-1]), int(ev[-1])))
     vals = top.values()
     tv_top = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
-    return Decomposition._from_indices(
-        et, ev, emit_lo, emit_hi, top, tv_total, tv_top
+    il = np.asarray(emit_lo, dtype=np.intp)
+    ih = np.asarray(emit_hi, dtype=np.intp)
+    return Decomposition._from_blocks(
+        [(et[il], ev[il], et[ih], ev[ih])], top, tv_total, tv_top
     )

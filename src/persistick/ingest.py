@@ -398,25 +398,33 @@ class _TickReader:
         return t, ticks
 
     def feed_rows(self, rows: Iterable[list[str]]) -> None:
-        """The per-row path: csv records, one Fraction computation each."""
+        """The per-row path: csv records, one Fraction computation each.
+
+        A record csv cannot read (a field over csv.field_size_limit(), or a
+        bare carriage return inside a line of a stream not opened with
+        universal newlines) stops the parse at its line.
+        """
         times = []
         values = []
-        for row in rows:
-            self.lineno += 1
-            got = self._row(row)
-            if got is None:
-                continue
-            if isinstance(got, str):
-                self.errors.append((self.lineno, got))
-                continue
-            t, v = got
-            if self.last_t is not None and t < self.last_t:
-                raise TickParseError(
-                    [(self.lineno, f"timestamp decreases ({t} after {self.last_t})")]
-                )
-            self.last_t = t
-            times.append(t)
-            values.append(v)
+        try:
+            for row in rows:
+                self.lineno += 1
+                got = self._row(row)
+                if got is None:
+                    continue
+                if isinstance(got, str):
+                    self.errors.append((self.lineno, got))
+                    continue
+                t, v = got
+                if self.last_t is not None and t < self.last_t:
+                    raise TickParseError(
+                        [(self.lineno, f"timestamp decreases ({t} after {self.last_t})")]
+                    )
+                self.last_t = t
+                times.append(t)
+                values.append(v)
+        except csv.Error as e:  # only the csv reader raises it
+            raise TickParseError(self.errors + [(self.lineno + 1, f"unreadable row: {e}")]) from None
         self.times.append(np.array(times, dtype=np.int64))
         self.values.append(np.array(values, dtype=np.int64))
 

@@ -97,6 +97,45 @@ class TestDecompose:
         assert [e["kind"] for e in doc["top"]["extrema"]] == ["min", "max", "min"]
         assert doc["top"]["pending"] == {"time": 7, "value": 12008}
 
+    def test_json_bytes_equal_json_dumps(self, tmp_path):
+        """The columnar JSON writer gives json.dumps' bytes for 0, 1 and many pairs."""
+        series = {
+            "empty": [],
+            "none": [5, 6, 7],
+            "one": [1, 5, 2, 6],
+            "many": gen_random_walk(3_000, seed=4, kind="pm1")[1].tolist(),
+        }
+        for name, values in series.items():
+            src = tmp_path / f"{name}.csv"
+            src.write_text("".join(f"{t},{1000 + v}\n" for t, v in enumerate(values)))
+            out = tmp_path / name
+            out.mkdir()
+            rc = run(
+                "decompose", str(src), "--format", "json",
+                "--tick", "1", "--columns", "time,price", "--out", str(out),
+            )
+            assert rc == 0
+            dec = decompose(np.array(values, dtype=np.int64) + 1000)
+            pending = dec.top.pending
+            doc = {
+                "pairs": [
+                    {"t_min": p.minimum.time, "v_min": p.minimum.value,
+                     "t_max": p.maximum.time, "v_max": p.maximum.value, "size": p.size}
+                    for p in dec.pairs
+                ],
+                "top": {
+                    "extrema": [
+                        {"time": e.time, "value": e.value, "kind": "min" if e.kind < 0 else "max"}
+                        for e in dec.top.extrema
+                    ],
+                    "pending": None if pending is None else {"time": pending.time, "value": pending.value},
+                },
+                "summary": {"pair_count": dec.pair_count, "tv_total": dec.tv_total, "tv_top": dec.tv_top},
+            }
+            want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            assert (out / "decompose.json").read_text() == want, name
+        assert len(doc["pairs"]) > 100
+
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         src = tmp_path / "quotes.csv"
         write_walk_csv(src, 2_000, seed=9)
@@ -376,6 +415,17 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        src = tmp_path / "quotes.csv"
+        src.write_text(f"0,1.00\n1,1.{'0' * 200_000}\n")
+        rc = run(
+            "decompose", str(src),
+            "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "error: line 2: unreadable row" in capsys.readouterr().err
+        assert not (tmp_path / "pairs.csv").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         rc = run(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from persistick.oracle import decomposition_digest, gen_random_walk, level_sweep
 
 from conftest import (
     assert_conserved,
+    assert_equivalent_decomposition,
     assert_same_decomposition,
     pair_tuples,
     stream_decompose,
@@ -268,9 +272,146 @@ class TestStreamBeyondInt64:
         assert before.pair_count > 3 * 4  # several chunks were frozen
         want_before = decomposition_digest(before)
         emitted = []
-        for s in zip(times[400:], values[400:]):
+        for s in zip(times[400:405], values[400:405]):
             emitted += d.push(s)
         assert (2**63 + 1, 2**63 + 7) in [(p.minimum.value, p.maximum.value) for p in emitted]
+        after = d.finish()
+        want_after = decomposition_digest(after)
+        assert want_after == decomposition_digest(level_sweep_pairs(values[:405], times[:405]))
+        for s in zip(times[405:], values[405:]):
+            d.push(s)
         dec = d.finish()
         assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values, times))
         assert decomposition_digest(before) == want_before
+        assert decomposition_digest(after) == want_after
+
+
+class TestSnapshots:
+    """finish() shares frozen column blocks; snapshots never change afterwards."""
+
+    @staticmethod
+    def _assert_matches_batch(dec, values, times):
+        want = decompose(values, times)
+        assert decomposition_digest(dec) == decomposition_digest(want)
+        got_cols, want_cols = dec.pair_columns(), want.pair_columns()
+        assert all(np.array_equal(g, w) for g, w in zip(got_cols, want_cols))
+        assert dec.pair_count == want.pair_count
+        assert np.array_equal(dec.sizes(), want.sizes())
+
+    @pytest.mark.parametrize("chunk", [1, 3, 5])
+    def test_every_burst_matches_batch_across_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(Decomposer, "_CHUNK", chunk)
+        times, values = gen_random_walk(3000, seed=chunk, kind="pm1", zero_prob=0.3)
+        rng = np.random.default_rng(chunk)
+        d = Decomposer()
+        snapshots = []
+        pos = 0
+        while pos < len(values):
+            burst = int(rng.integers(1, 60))
+            for s in zip(times[pos : pos + burst].tolist(), values[pos : pos + burst].tolist()):
+                d.push(s)
+            pos = min(pos + burst, len(values))
+            snap = d.finish()
+            self._assert_matches_batch(snap, values[:pos], times[:pos])
+            snapshots.append((snap, decomposition_digest(snap), snap.pair_columns()))
+        assert snapshots[-1][0].pair_count > 10 * chunk
+        for snap, digest, cols in snapshots:  # nothing later changed them
+            assert decomposition_digest(snap) == digest
+            assert all(np.array_equal(a, b) for a, b in zip(snap.pair_columns(), cols))
+
+    def test_chunk_filled_exactly_at_finish(self, monkeypatch):
+        monkeypatch.setattr(Decomposer, "_CHUNK", 4)
+        times, values = gen_random_walk(2000, seed=5, kind="pm1", zero_prob=0.3)
+        d = Decomposer()
+        count = 0
+        exact = []
+        for i, s in enumerate(zip(times.tolist(), values.tolist())):
+            new = len(d.push(s))
+            count += new
+            if new and count % 4 == 0:
+                assert len(d._cols[0]) == 0  # the last pair froze the chunk
+                snap = d.finish()
+                exact.append(snap)
+                self._assert_matches_batch(snap, values[: i + 1], times[: i + 1])
+        assert len(exact) >= 3
+        first = decomposition_digest(exact[0])
+        for s in zip(times.tolist(), values.tolist()):
+            d.push((s[0] + 2000, s[1]))
+        assert decomposition_digest(exact[0]) == first
+
+    def test_no_pair_objects_held_on_int64_input(self, monkeypatch):
+        monkeypatch.setattr(Decomposer, "_CHUNK", 64)
+        times, values = gen_random_walk(20_000, seed=9, kind="pm1", zero_prob=0.3)
+        d = Decomposer()
+        emitted = 0
+        for s in zip(times.tolist(), values.tolist()):
+            emitted += len(d.push(s))
+        assert emitted > 10 * 64 and emitted % 64  # frozen blocks and an open chunk
+        gc.collect()
+        held = [o for o in _instance_graph(d) if isinstance(o, (PersistentPair, Extremum))]
+        assert held == []
+        assert d.finish().pair_count == emitted
+
+
+def _instance_graph(obj) -> list:
+    """Every object reachable from obj's attributes, not going into types or modules."""
+    seen: dict[int, object] = {}
+    todo = list(vars(obj).values())
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen[id(o)] = o
+        todo.extend(gc.get_referents(o))
+    return list(seen.values())
+
+
+_I64 = st.integers(-(2**63), 2**63 - 1)
+_I64_LEVEL = st.one_of(  # plain draws, plus both ends of the range
+    _I64, st.integers(2**62, 2**63 - 1), st.integers(-(2**63), -(2**62))
+)
+
+
+@st.composite
+def _int64_series(draw) -> tuple[list[int], list[int]]:
+    """Values from a few int64 levels (ties and plateaus), with non-decreasing int64 times.
+
+    The levels are spread over the whole range, or packed around one point
+    of it so that batch decompose takes more of the series.
+    """
+    if draw(st.booleans()):
+        levels = draw(st.lists(_I64_LEVEL, min_size=1, max_size=8))
+    else:
+        base = draw(_I64_LEVEL)
+        offsets = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
+        levels = [min(max(base + o, -(2**63)), 2**63 - 1) for o in offsets]
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=len(levels), max_size=60))
+    values = [levels[i] for i in picks]
+    times = sorted(draw(st.lists(_I64, min_size=len(values), max_size=len(values))))
+    return values, times
+
+
+class TestFullInt64Range:
+    @given(_int64_series())
+    @settings(max_examples=300, deadline=None)
+    def test_stream_equals_batch_equals_oracle(self, series):
+        values, times = series
+        streamed = stream_decompose(values, times)
+        oracle = level_sweep_pairs(values, times)
+        assert_equivalent_decomposition(streamed, oracle)
+        assert streamed.pair_variation() == oracle.pair_variation()
+        assert_conserved(streamed)
+        try:
+            batch = decompose(np.array(values, dtype=np.int64), np.array(times, dtype=np.int64))
+        except ValueError as e:
+            assert "int64" in str(e)
+            assert max(values) - min(values) > 2**63 - 1 or streamed.tv_total > 2**63 - 1
+        else:
+            assert_same_decomposition(batch, streamed)
+            assert batch.pair_variation() == streamed.pair_variation()
+
+    def test_pair_variation_is_exact_beyond_int64(self):
+        for values in ([0, 2**63 + 5, 1, 2**63 + 9], [0, 2**62, 0, 2**62, 0, 2**62, 0, 2**62]):
+            dec = stream_decompose(values)
+            assert dec.pair_variation() == level_sweep_pairs(values).pair_variation()
+            assert_conserved(dec)

@@ -192,6 +192,21 @@ class TestParseErrors:
         samples = parse_ticks(stream, InstrumentSpec("0.1"))
         assert len(samples) == 2
 
+    @pytest.mark.parametrize("path", [parse_ticks, ingest._parse_ticks_by_row])
+    def test_bare_cr_in_a_line_without_universal_newlines(self, path):
+        stream = io.StringIO("0,1.0,1.1\n1,1.0\r,1.1\n2,1.0,1.1\n", newline="\n")
+        with pytest.raises(TickParseError) as ei:
+            path(stream, InstrumentSpec("0.1"))
+        assert [ln for ln, _ in ei.value.errors] == [2]
+        assert "line 2: unreadable row" in str(ei.value)
+
+    def test_field_over_csv_limit_keeps_earlier_errors(self):
+        stream = io.StringIO(f"0,junk,1.1\n1,1.0,1.1\n2,1.{'0' * 200_000},1.1\n", newline="")
+        with pytest.raises(TickParseError) as ei:
+            parse_ticks(stream, InstrumentSpec("0.1"))
+        assert [ln for ln, _ in ei.value.errors] == [1, 3]
+        assert "field larger than field limit" in ei.value.errors[1][1]
+
     def test_error_message_caps_at_ten_lines(self):
         rows = "\n".join(f"{i},junk,1.0" for i in range(12))
         with pytest.raises(TickParseError) as ei:
