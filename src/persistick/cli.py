@@ -9,11 +9,13 @@ for a fit.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import secrets
 import sys
 from datetime import date
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,14 +43,15 @@ EXIT_INSUFFICIENT = 3
 _HOUR_NS = 3600 * 10**9
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or its chunks in order, to a temp file renamed to path."""
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
     # Created like open() creates files: mode 0o666 less the umask.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,11 +93,21 @@ def _kind_name(kind: Kind) -> str:
 
 _PAIR_FIELDS = ("t_min", "v_min", "t_max", "v_max", "size")
 # One pair object as json.dumps(..., sort_keys=True, indent=2) lays it out
-# inside the document's "pairs" list.
+# inside the document's "pairs" list, after the separator from the previous.
 _JSON_PAIR = (
-    '    {\n      "size": %d,\n      "t_max": %d,\n      "t_min": %d,\n'
-    '      "v_max": %d,\n      "v_min": %d\n    },\n'
+    ',\n    {\n      "size": %d,\n      "t_max": %d,\n      "t_min": %d,\n'
+    '      "v_max": %d,\n      "v_min": %d\n    }'
 )
+# Pair rows are formatted this many at a time, so only one slice of the
+# columns is held as Python ints while the file is written.
+_ROWS_PER_SLICE = 4096
+
+
+def _format_rows(row: str, cols: Sequence[np.ndarray]) -> Iterator[str]:
+    """row % cells for each row of the int64 columns, one slice of rows per chunk."""
+    for a in range(0, len(cols[0]), _ROWS_PER_SLICE):
+        cells = np.column_stack([c[a : a + _ROWS_PER_SLICE] for c in cols])
+        yield (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -124,15 +137,19 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         }
         # The same bytes as json.dumps of the whole document with sort_keys
         # and indent=2, but the pairs come from the columns in one format.
-        cells = np.column_stack((size, t_max, t_min, v_max, v_min))
-        pairs = (_JSON_PAIR * len(cells)) % tuple(cells.ravel().tolist())
-        pairs = f"[\n{pairs[:-2]}\n  ]" if len(cells) else "[]"
-        text = '{\n  "pairs": ' + pairs + ",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:]
-        _write_atomic(os.path.join(args.out, "decompose.json"), text + "\n")
+        rows = _format_rows(_JSON_PAIR, (size, t_max, t_min, v_max, v_min))
+        first = next(rows, None)
+        pairs = ["[]"] if first is None else itertools.chain(["[", first[1:]], rows, ["\n  ]"])
+        tail = ",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:] + "\n"
+        _write_atomic(
+            os.path.join(args.out, "decompose.json"),
+            itertools.chain(['{\n  "pairs": '], pairs, [tail]),
+        )
         return EXIT_OK
-    pair_cells = np.column_stack((t_min, v_min, t_max, v_max, size))
-    pairs_text = ",".join(_PAIR_FIELDS) + "\n"
-    pairs_text += ("%d,%d,%d,%d,%d\n" * len(pair_cells)) % tuple(pair_cells.ravel().tolist())
+    pairs_text = itertools.chain(
+        [",".join(_PAIR_FIELDS) + "\n"],
+        _format_rows("%d,%d,%d,%d,%d\n", (t_min, v_min, t_max, v_max, size)),
+    )
     top_rows = ["time,value,kind"]
     top_rows += [f"{e.time},{e.value},{_kind_name(e.kind)}" for e in dec.top.extrema]
     if dec.top.pending is not None:

@@ -89,6 +89,14 @@ _NO_PAIRS = np.zeros(0, dtype=np.int64)
 _NO_PAIRS.flags.writeable = False  # shared by every empty block
 
 
+def _int64_array(cells: list, what: str) -> np.ndarray:
+    """cells as an int64 array, or ValueError if one lies outside int64."""
+    try:
+        return np.array(cells, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a pair {what} is outside the int64 range") from None
+
+
 def _pairs_from_columns(cols: Iterable[np.ndarray]) -> list[PersistentPair]:
     mn, mx = Kind.MIN, Kind.MAX
     return [
@@ -147,10 +155,10 @@ class Decomposition:
         Reading them does not build the PersistentPair list.
         """
         if self._blocks is None:
-            cols = np.array(
+            cols = _int64_array(
                 [(p.minimum.time, p.minimum.value, p.maximum.time, p.maximum.value)
                  for p in self._pairs],
-                dtype=np.int64,
+                "time or value",
             ).reshape(-1, 4)
             return tuple(np.ascontiguousarray(c) for c in cols.T)
         return tuple(np.concatenate(c) for c in zip(*self._blocks))
@@ -165,10 +173,8 @@ class Decomposition:
         """Movement sizes of all pairs, in emission order."""
         if self._sizes is None:
             if self._blocks is None:
-                self._sizes = np.fromiter(
-                    (p.maximum.value - p.minimum.value for p in self._pairs),
-                    dtype=np.int64,
-                    count=len(self._pairs),
+                self._sizes = _int64_array(
+                    [p.maximum.value - p.minimum.value for p in self._pairs], "size"
                 )
             else:
                 self._sizes = np.concatenate([b[3] - b[1] for b in self._blocks])

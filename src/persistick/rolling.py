@@ -1,19 +1,32 @@
 """Windowed scaling-exponent estimates over a long series.
 
-Each window is decomposed from scratch and fitted independently, so a
-window's result equals a standalone fit of that sub-series and no state
-leaks between windows.  Windows that cannot support a fit are marked, not
+A window's result equals a standalone decompose + fit of that sub-series,
+yet each sample is decomposed about once, not once per window.  The series
+is cut into blocks where a window starts and where a window's whole steps
+end.  Each block is decomposed once.  A window is the run of blocks it
+covers plus a remnant shorter than one step, and its movement sizes are
+the sizes found inside those pieces together with the sizes from
+decomposing their top sequences, concatenated in time order.  This holds
+because a movement completed inside a piece stays completed in any longer
+series around it (the elder rule of 1-D persistence), and what a piece
+leaves open is exactly its top structure.  The merge is exact for sizes,
+not for pair identities: across a cut, the tied-minimum rule can change
+which minimum a pair reports.  The fit reads only sizes.
+
+Cost: every sample once in its block, plus per window the remnant and
+the concatenated tops (a handful of values per block); the fit of each
+window then dominates.  Windows that cannot support a fit are marked, not
 dropped, keeping the output grid regular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import decompose
+from .core import _INT64_MAX, StreamOrderError, decompose
 from .powerlaw import DEFAULT_MIN_TAIL, InsufficientTailError, PowerLawFit, fit
 
 __all__ = ["WEEK_NS", "DAY_NS", "RollingConfig", "RollingPoint", "rolling_fit"]
@@ -46,6 +59,39 @@ class RollingPoint:
     status: str = field(default="ok")
 
 
+class _Piece(NamedTuple):
+    """What a window needs of one decomposed stretch of the series."""
+
+    sizes: np.ndarray
+    top_times: list[int]
+    top_values: list[int]
+    pair_variation: int
+
+
+def _piece(values: np.ndarray, times: np.ndarray) -> _Piece:
+    """Decompose a non-empty stretch of the series."""
+    dec = decompose(values, times)
+    top = dec.top
+    return _Piece(
+        dec.sizes(),
+        [e.time for e in top.extrema] + [top.pending.time],
+        [e.value for e in top.extrema] + [top.pending.value],
+        dec.tv_total - dec.tv_top,
+    )
+
+
+def _merged_sizes(pieces: list[_Piece]) -> np.ndarray:
+    """Movement sizes of the series that the consecutive pieces make up."""
+    merged = decompose(
+        np.array([x for p in pieces for x in p.top_values], dtype=np.int64),
+        np.array([x for p in pieces for x in p.top_times], dtype=np.int64),
+    )
+    tv_total = merged.tv_total + sum(p.pair_variation for p in pieces)
+    if tv_total > _INT64_MAX:
+        raise ValueError(f"total variation {tv_total} is more than int64 holds")
+    return np.concatenate([p.sizes for p in pieces] + [merged.sizes()])
+
+
 def rolling_fit(
     values: Sequence[int] | np.ndarray,
     times: Sequence[int] | np.ndarray,
@@ -56,7 +102,9 @@ def rolling_fit(
     Windows cover [end - window, end] with end advancing by step from the
     earliest time that fits a whole window; samples on the boundary belong
     to the window.  A window whose movements cannot satisfy the fit's tail
-    requirement yields status "insufficient_tail" and fit None.
+    requirement yields status "insufficient_tail" and fit None.  Times
+    must never decrease (StreamOrderError); a window that batch decompose
+    rejects raises the same error its standalone decompose raises.
     """
     if cfg is None:
         cfg = RollingConfig()
@@ -66,22 +114,50 @@ def rolling_fit(
         raise ValueError("times and values length mismatch")
     if t.size == 0:
         raise ValueError("empty series")
-    span = int(t[-1] - t[0])
+    if bool(np.any(t[1:] < t[:-1])):
+        raise StreamOrderError("sample times are not non-decreasing")
+    t0 = int(t[0])
+    span = int(t[-1]) - t0
     if cfg.window > span:
         raise ValueError("window exceeds the series span")
 
-    n_windows = (span - cfg.window) // cfg.step + 1
+    step = cfg.step
+    n_windows = (span - cfg.window) // step + 1
+    q = cfg.window // step  # whole steps in a window
+    # Block edges, in steps from t0: each window start i and each i + q,
+    # where the window's whole steps end.  Block k runs from edge k to
+    # edge k + 1; the last edge only closes a block.
+    edges = np.union1d(np.arange(n_windows), np.arange(q, q + n_windows))
+    cuts = np.searchsorted(t, [t0 + e * step for e in edges.tolist()]).tolist()
+    first = np.searchsorted(edges, np.arange(n_windows)).tolist()
+    past = np.searchsorted(edges, np.arange(q, q + n_windows)).tolist()
+    blocks: dict[int, _Piece] = {}
+
     out: list[RollingPoint] = []
-    t0 = int(t[0])
     for i in range(n_windows):
-        end = t0 + cfg.window + i * cfg.step
-        start = end - cfg.window
-        lo = int(np.searchsorted(t, start, side="left"))
+        end = t0 + cfg.window + i * step
+        lo, mid = cuts[first[i]], cuts[past[i]]
         hi = int(np.searchsorted(t, end, side="right"))
-        dec = decompose(v[lo:hi], t[lo:hi])
         try:
-            f = fit(dec, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
-            out.append(RollingPoint(end, f, dec.pair_count, "ok"))
+            pieces = []
+            for k in range(first[i], past[i]):
+                if cuts[k] == cuts[k + 1]:
+                    continue
+                if k not in blocks:
+                    blocks[k] = _piece(v[cuts[k] : cuts[k + 1]], t[cuts[k] : cuts[k + 1]])
+                pieces.append(blocks[k])
+            if hi > mid:
+                pieces.append(_piece(v[mid:hi], t[mid:hi]))
+            sizes = _merged_sizes(pieces)
+        except ValueError:
+            # A piece, the merge or the summed variation left int64, so the
+            # window does too.  Raise what its standalone decompose raises.
+            decompose(v[lo:hi], t[lo:hi])
+            raise
+        blocks.pop(first[i], None)  # later windows start past this block
+        try:
+            f = fit(sizes, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
+            out.append(RollingPoint(end, f, sizes.size, "ok"))
         except InsufficientTailError:
-            out.append(RollingPoint(end, None, dec.pair_count, "insufficient_tail"))
+            out.append(RollingPoint(end, None, sizes.size, "insufficient_tail"))
     return out

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from persistick import cli
 from persistick.cli import _parse_duration, _parse_xmin_range, main
 from persistick.core import Sample, decompose
 from persistick.ingest import InstrumentSpec, build_continuous, parse_ticks, RollRule
@@ -184,6 +185,22 @@ class TestDecompose:
             for name in self.FIXTURE_SHA256
         }
         assert got == self.FIXTURE_SHA256
+
+    def test_pair_rows_written_in_slices_keep_their_bytes(self, tmp_path, monkeypatch):
+        src = Path(__file__).parent / "data" / "quotes_1k.csv"
+        names = ("pairs.csv", "top.csv", "summary.csv", "decompose.json")
+        outputs = {}
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(cli, "_ROWS_PER_SLICE", rows)
+            out = tmp_path / f"rows{rows}"
+            out.mkdir()
+            for fmt in ("csv", "json"):
+                argv = ["decompose", str(src), "--tick", "0.01", "--format", fmt]
+                assert run(*argv, "--out", str(out)) == 0
+            outputs[rows] = [(out / name).read_bytes() for name in names]
+        assert outputs[None][0].count(b"\n") > 4  # several slices of 3 rows
+        assert outputs[1] == outputs[3] == outputs[None]
 
     def test_outputs_follow_the_umask(self, tmp_path):
         src = tmp_path / "quotes.csv"

@@ -19,6 +19,8 @@ from persistick.core import (
     total_variation,
 )
 from persistick.oracle import decomposition_digest, gen_random_walk, level_sweep_pairs
+from persistick.powerlaw import fit
+from persistick.spectrum import histogram
 
 from conftest import (
     assert_conserved,
@@ -259,6 +261,24 @@ class TestStreamBeyondInt64:
         dec = stream_decompose(values, times)
         assert pair_tuples(dec) == [(2**63 + 30, 2, 2**63 + 20, 4), (2**63 + 50, 3, 2**63 + 40, 6)]
         assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values, times))
+
+    def test_sizes_beyond_int64_raise_value_error(self):
+        dec = stream_decompose([0, 2**63 + 5, 1, 2**63 + 9])
+        with pytest.raises(ValueError, match="int64"):
+            dec.sizes()
+        with pytest.raises(ValueError, match="int64"):
+            dec.pair_columns()
+        with pytest.raises(ValueError, match="int64"):
+            histogram(dec)
+        with pytest.raises(ValueError, match="int64"):
+            fit(dec, min_tail=2)
+        assert dec.pair_variation() == 2 * (2**63 + 4)
+
+    def test_times_beyond_int64_keep_int64_sizes(self):
+        values = [5, 1, 4, 2, 6, 3, 7]
+        dec = stream_decompose(values, [2**63 + 10 * i for i in range(len(values))])
+        assert dec.sizes().tolist() == [2, 3]
+        assert histogram(dec) == histogram(decompose(values))
 
     def test_value_leaves_int64_after_frozen_chunks(self, monkeypatch):
         monkeypatch.setattr(Decomposer, "_CHUNK", 4)

@@ -4,13 +4,42 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persistick.core import decompose
+from persistick.core import StreamOrderError, decompose
 from persistick.oracle import gen_random_walk
-from persistick.powerlaw import fit
+from persistick import rolling
+from persistick.powerlaw import InsufficientTailError, fit
 from persistick.rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
 
 SECOND_NS = 10**9
+
+
+def standalone(values, times, cfg: RollingConfig) -> list[RollingPoint]:
+    """Reference: every window decomposed and fitted on its own."""
+    values, times = np.asarray(values), np.asarray(times)
+    t0 = int(times[0])
+    n_windows = (int(times[-1]) - t0 - cfg.window) // cfg.step + 1
+    out = []
+    for i in range(n_windows):
+        end = t0 + cfg.window + i * cfg.step
+        mask = (times >= end - cfg.window) & (times <= end)
+        dec = decompose(values[mask], times[mask])
+        try:
+            f = fit(dec, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
+        except InsufficientTailError:
+            out.append(RollingPoint(end, None, dec.pair_count, "insufficient_tail"))
+        else:
+            out.append(RollingPoint(end, f, dec.pair_count, "ok"))
+    return out
+
+
+def standalone_error(values, times, cfg: RollingConfig) -> Exception:
+    """The error the first window that fails on its own raises."""
+    with pytest.raises((TypeError, ValueError)) as info:
+        standalone(values, times, cfg)
+    return info.value
 
 
 class TestConfig:
@@ -148,3 +177,161 @@ class TestErrors:
         times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
         with pytest.raises(ValueError):
             rolling_fit(values, times, RollingConfig(window=200 * SECOND_NS))
+
+    def test_decreasing_time_after_the_last_window(self):
+        times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
+        times[-1] = times[-3]  # past the last window's end, which is times[-2]
+        cfg = RollingConfig(window=40 * SECOND_NS, step=20 * SECOND_NS)
+        with pytest.raises(StreamOrderError):
+            rolling_fit(values, times, cfg)
+
+    def test_decreasing_time_inside_a_window(self):
+        times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
+        times[50] = times[10]
+        with pytest.raises(StreamOrderError):
+            rolling_fit(values, times, RollingConfig(window=40 * SECOND_NS, step=20 * SECOND_NS))
+
+    H = 2**60
+    _BEYOND_INT64 = {
+        # block maxima differ from the window maximum
+        "value": np.array([1, 2, 2**63 + 5, 3, 1, 2**63 + 9, 0, 4, 2, 1, 3, 0] * 2, dtype=np.uint64),
+        "spread": np.array([0, 1, -(3 << 61), 2, 0, 3 << 61, 1, 0, 2, 1, 0, 1] * 2, dtype=np.int64),
+        # every block and the joined tops fit; the window's pairs overflow
+        "variation": np.array([0, H, 1, H + 1] * 6, dtype=np.int64),
+        "float": np.arange(24, dtype=np.float64),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_BEYOND_INT64))
+    def test_window_errors_match_standalone(self, case):
+        values = self._BEYOND_INT64[case]
+        times = np.arange(values.size, dtype=np.int64) * SECOND_NS
+        cfg = RollingConfig(window=12 * SECOND_NS, step=4 * SECOND_NS)
+        want = standalone_error(values, times, cfg)
+        with pytest.raises(type(want)) as info:
+            rolling_fit(values, times, cfg)
+        assert type(info.value) is type(want)
+        assert str(info.value) == str(want)
+
+
+@st.composite
+def _tied_series(draw, max_size: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Small-range values (ties, plateaus) on non-decreasing times with repeats."""
+    n = draw(st.integers(0, max_size))
+    hi = draw(st.sampled_from([1, 2, 4, 9]))
+    values = draw(st.lists(st.integers(0, hi), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 7]), min_size=n, max_size=n))
+    return np.array(values, dtype=np.int64), np.cumsum(np.array(gaps, dtype=np.int64))
+
+
+def _top_sequence(dec) -> tuple[list[int], list[int]]:
+    top = dec.top
+    times = [e.time for e in top.extrema] + ([] if top.pending is None else [top.pending.time])
+    values = [e.value for e in top.extrema] + ([] if top.pending is None else [top.pending.value])
+    return times, values
+
+
+class TestMergeLaw:
+    """Sizes of a whole series = sizes inside its pieces + sizes of their joined tops."""
+
+    @given(_tied_series(), st.lists(st.integers(0, 60), max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_sizes_of_cut_series(self, series, cuts):
+        values, times = series
+        edges = [0, *sorted(min(c, values.size) for c in cuts), values.size]
+        sizes, top_t, top_v = [], [], []
+        for a, b in zip(edges, edges[1:]):
+            piece = decompose(values[a:b], times[a:b])
+            sizes += piece.sizes().tolist()
+            tt, tv = _top_sequence(piece)
+            top_t += tt
+            top_v += tv
+        sizes += decompose(np.array(top_v, dtype=np.int64), np.array(top_t, dtype=np.int64)).sizes().tolist()
+        assert sorted(sizes) == sorted(decompose(values, times).sizes().tolist())
+
+
+def _with_gaps(times: np.ndarray, at: list[int], gap: int) -> np.ndarray:
+    times = times.copy()
+    for k in at:
+        times[k:] += gap
+    return times
+
+
+class TestCost:
+    def test_each_sample_decomposed_about_once(self, monkeypatch):
+        times, values = gen_random_walk(50_000, seed=9, kind="gauss", dt=SECOND_NS)
+        cfg = RollingConfig(window=8_000 * SECOND_NS, step=1_000 * SECOND_NS)
+        seen = []
+
+        def counting_decompose(v, t=None):
+            seen.append(len(v))
+            return decompose(v, t)
+
+        monkeypatch.setattr(rolling, "decompose", counting_decompose)
+        pts = rolling_fit(values, times, cfg)
+        assert len(pts) == 42
+        # Per window: 8 blocks of 1 000 samples, but only their tops and the
+        # one sample at the window end are decomposed again.
+        assert sum(seen) < 1.3 * values.size
+
+
+class TestMatchesStandalone:
+    """rolling_fit equals a standalone decompose + fit, window by window."""
+
+    def _check(self, values, times, cfg):
+        got = rolling_fit(values, times, cfg)
+        assert got == standalone(values, times, cfg)
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_plateau_heavy_pm1(self, seed):
+        times, values = gen_random_walk(30_000, seed=seed, kind="pm1", zero_prob=0.6, dt=SECOND_NS)
+        pts = self._check(values, times, RollingConfig(window=6_000 * SECOND_NS, step=1_500 * SECOND_NS))
+        assert {p.status for p in pts} == {"ok"}
+
+    def test_window_not_a_multiple_of_step(self):
+        times, values = gen_random_walk(20_000, seed=4, kind="pm1", zero_prob=0.3, dt=SECOND_NS)
+        self._check(values, times, RollingConfig(window=5_000 * SECOND_NS, step=1_300 * SECOND_NS))
+
+    def test_step_equals_window(self):
+        times, values = gen_random_walk(20_000, seed=5, kind="gauss", dt=SECOND_NS)
+        self._check(values, times, RollingConfig(window=4_000 * SECOND_NS, step=4_000 * SECOND_NS))
+
+    def test_samples_at_both_window_edges(self):
+        # Several samples share each time, and every window edge is a time.
+        times, values = gen_random_walk(24_000, seed=6, kind="pm1", zero_prob=0.2)
+        times = (times // 4) * SECOND_NS
+        cfg = RollingConfig(window=1_000 * SECOND_NS, step=250 * SECOND_NS)
+        pts = self._check(values, times, cfg)
+        for p in pts:
+            assert np.count_nonzero(times == p.window_end) == 4
+            assert np.count_nonzero(times == p.window_end - cfg.window) == 4
+
+    def test_gaps_longer_than_step_and_window(self):
+        times, values = gen_random_walk(20_000, seed=7, kind="pm1", zero_prob=0.3, dt=SECOND_NS)
+        times = _with_gaps(times, [3_000, 11_000], 2_500 * SECOND_NS)  # empty blocks
+        times = _with_gaps(times, [16_000], 9_000 * SECOND_NS)  # empty windows
+        pts = self._check(values, times, RollingConfig(window=4_000 * SECOND_NS, step=1_000 * SECOND_NS))
+        assert any(p.pair_count == 0 for p in pts)
+
+    def test_insufficient_tail_windows(self):
+        _, a = gen_random_walk(30_000, seed=5, kind="pm1")
+        flat = np.full(30_000, a[-1], dtype=np.int64)
+        values = np.concatenate([a, flat, a[::-1]])
+        times = np.arange(values.size, dtype=np.int64) * SECOND_NS
+        pts = self._check(values, times, RollingConfig(window=20_000 * SECOND_NS, step=7_000 * SECOND_NS))
+        assert {p.status for p in pts} == {"ok", "insufficient_tail"}
+
+    def test_fewer_windows_than_steps_per_window(self):
+        # 6 windows of 100 steps: blocks are cut only at the window starts
+        # and at the ends of their whole steps.
+        times, values = gen_random_walk(10_500, seed=8, kind="gauss", dt=SECOND_NS // 100)
+        self._check(values, times, RollingConfig(window=100 * SECOND_NS, step=SECOND_NS))
+
+    @given(_tied_series(max_size=80), st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_tied_series_any_geometry(self, series, window, step):
+        values, times = series
+        cfg = RollingConfig(window=max(window, step), step=step, min_tail=2)
+        if values.size == 0 or cfg.window > int(times[-1] - times[0]):
+            return
+        self._check(values, times, cfg)
