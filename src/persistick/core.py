@@ -366,7 +366,8 @@ def decompose(
     vectorised, which matters for million-sample inputs.  The arithmetic
     is int64, so values must lie in the int64 range and both their spread
     (max - min) and their total variation must fit in int64; other inputs
-    raise ValueError rather than wrap.
+    raise ValueError rather than wrap.  Values and times of a non-integer
+    dtype raise TypeError rather than truncate.
     """
     v = np.asarray(values)
     n = v.size
@@ -385,7 +386,10 @@ def decompose(
     if times is None:
         t = np.arange(n, dtype=np.int64)
     else:
-        t = np.asarray(times).astype(np.int64, copy=False)
+        t = np.asarray(times)
+        if t.dtype.kind not in "iu":
+            raise TypeError("times must be integers")
+        t = t.astype(np.int64, copy=False)
         if n > 1 and bool(np.any(t[1:] < t[:-1])):
             raise StreamOrderError("sample times are not non-decreasing")
 

@@ -14,9 +14,11 @@ not for pair identities: across a cut, the tied-minimum rule can change
 which minimum a pair reports.  The fit reads only sizes.
 
 Cost: every sample once in its block, plus per window the remnant and
-the concatenated tops (a handful of values per block); the fit of each
-window then dominates.  Windows that cannot support a fit are marked, not
-dropped, keeping the output grid regular.
+the concatenated tops (a handful of values per block), plus one fit per
+window.  The fit takes all of a window's cutoff candidates together in a
+few array passes, and its cost is set mostly by the window's distinct
+sizes.  Windows that cannot support a fit are marked, not dropped,
+keeping the output grid regular.
 """
 
 from __future__ import annotations
@@ -103,17 +105,21 @@ def rolling_fit(
     earliest time that fits a whole window; samples on the boundary belong
     to the window.  A window whose movements cannot satisfy the fit's tail
     requirement yields status "insufficient_tail" and fit None.  Times
-    must never decrease (StreamOrderError); a window that batch decompose
-    rejects raises the same error its standalone decompose raises.
+    must be integers (TypeError) that never decrease (StreamOrderError); a
+    window that batch decompose rejects raises the same error its
+    standalone decompose raises.
     """
     if cfg is None:
         cfg = RollingConfig()
-    t = np.asarray(times, dtype=np.int64)
+    t = np.asarray(times)
     v = np.asarray(values)
     if t.size != v.size:
         raise ValueError("times and values length mismatch")
     if t.size == 0:
         raise ValueError("empty series")
+    if t.dtype.kind not in "iu":
+        raise TypeError("times must be integers")
+    t = t.astype(np.int64, copy=False)
     if bool(np.any(t[1:] < t[:-1])):
         raise StreamOrderError("sample times are not non-decreasing")
     t0 = int(t[0])

@@ -133,6 +133,11 @@ class TestBatchDecompose:
         with pytest.raises(TypeError):
             decompose(np.array([1.0, 2.0]))
 
+    def test_rejects_float_times(self):
+        # Truncated, these would put both top extrema at time 0.
+        with pytest.raises(TypeError, match="times must be integers"):
+            decompose([5, 1, 4, 2, 6], [0.2, 0.9, 1.5, 1.99, 3.7])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             decompose([1, 2, 3], times=[0, 1])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_powerlaw as reference
 from persistick.core import StreamOrderError, decompose
 from persistick.oracle import gen_random_walk
 from persistick import rolling
@@ -178,6 +179,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             rolling_fit(values, times, RollingConfig(window=200 * SECOND_NS))
 
+    def test_float_times(self):
+        times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
+        cfg = RollingConfig(window=40 * SECOND_NS, step=20 * SECOND_NS)
+        with pytest.raises(TypeError, match="times must be integers"):
+            rolling_fit(values, times + 0.5, cfg)
+
     def test_decreasing_time_after_the_last_window(self):
         times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
         times[-1] = times[-3]  # past the last window's end, which is times[-2]
@@ -272,6 +279,18 @@ class TestCost:
         # Per window: 8 blocks of 1 000 samples, but only their tops and the
         # one sample at the window end are decomposed again.
         assert sum(seen) < 1.3 * values.size
+
+
+class TestMatchesScalarFit:
+    def test_every_window_equals_the_per_candidate_reference(self):
+        # The reference runs one scalar bounded search per cutoff candidate.
+        times, values = gen_random_walk(100_000, seed=11, kind="gauss", dt=SECOND_NS)
+        cfg = RollingConfig(window=20_000 * SECOND_NS, step=5_000 * SECOND_NS)
+        pts = rolling_fit(values, times, cfg)
+        assert len(pts) == 16
+        for p in pts:
+            mask = (times >= p.window_end - cfg.window) & (times <= p.window_end)
+            assert p.fit == reference.fit(decompose(values[mask], times[mask]))
 
 
 class TestMatchesStandalone:
