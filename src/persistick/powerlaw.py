@@ -10,23 +10,39 @@ alpha is the count exponent minus one: multiplying a count law
 m**-(alpha+1) by the per-movement variation 2m leaves a spectrum law
 proportional to m**-alpha.
 
-Every candidate cutoff of one fit is handled in two array passes.  The
-likelihood maxima come from a lockstep copy of Brent's bounded search as
-scipy 1.17's ``minimize_scalar(method="bounded")`` implements it: each
-candidate keeps its own search state, every step is taken by all unfinished
-candidates together, and the likelihood of all of them is one ``zeta``
-call.  A step reads only its own candidate's state, with the same constants,
-the same comparisons and the same floating-point operations in the same
-order as the scalar routine, so each exponent is bit-identical to a
-separate scalar search.  The KS distances are one ``zeta`` call over the
-concatenated tails and a segmented maximum.
+fit_many fits many size sets at once, and fit is fit_many of one set.
+Every candidate cutoff of every set is handled in two array passes, and
+each result is bit-identical to fitting its set alone, candidate by
+candidate.
+
+The likelihood maxima come from a lockstep copy of Brent's bounded search
+as scipy 1.17's ``minimize_scalar(method="bounded")`` implements it: each
+candidate keeps its own search state, every step is taken by all
+unfinished candidates together, and the likelihood of all of them is one
+``zeta`` call.  A step reads only its own candidate's state, with the same
+constants, the same comparisons and the same floating-point operations in
+the same order as the scalar routine, so each exponent is bit-identical to
+a separate scalar search.  The searches all start together, so the shared
+evaluation count, and the cap on it, mean the same for every candidate
+whichever sets share the batch.  The suffix counts and log-sums that feed
+the searches are built set by set, since a float cumulative sum across
+sets would round differently.
+
+The KS distance of a candidate is the largest gap between empirical and
+model tail CDFs over its tail points, so the largest gap over any prefix
+of the tail is an exact lower bound on it.  Candidates whose bound lies
+strictly above a distance already measured in full in their set cannot
+be its minimum and are dropped; every gap that is computed uses the same
+expression as a full pass, so the winner and its distance are the ones a
+full pass gives, earliest on ties.  Each pass evaluates ``zeta`` over the
+concatenated tail prefixes and takes segmented maxima.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -40,6 +56,7 @@ __all__ = [
     "mle_count_exponent",
     "ks_distance",
     "fit",
+    "fit_many",
 ]
 
 _BRACKET = (1.01, 6.0)
@@ -52,6 +69,10 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 # Elements per batch of the concatenated KS tails, to bound memory.
 _KS_BLOCK = 1 << 18
+# Tail points per candidate in the first KS pass, before any is dropped.
+_KS_PROBE = 16
+# Elements per generated stretch of the amplitude's grid.
+_SUM_CHUNK = 1 << 16
 
 
 class InsufficientTailError(ValueError):
@@ -66,6 +87,17 @@ class PowerLawFit:
     ks_distance: float
     n_tail: int
     amplitude: float
+
+
+class _Candidates(NamedTuple):
+    """One size set's cutoff candidates, and where its result goes."""
+
+    slot: int
+    ms: np.ndarray
+    cs: np.ndarray
+    n_suffix: np.ndarray
+    logsum_suffix: np.ndarray
+    cand: np.ndarray
 
 
 def _as_sizes_counts(
@@ -200,31 +232,86 @@ def mle_count_exponent(sizes: Sequence[int] | np.ndarray, xmin: int) -> float:
     return float(_mle_exponents([xmin], [n], [log_sum])[0])
 
 
-def _ks_distances(
-    ms: np.ndarray, cs: np.ndarray, starts: np.ndarray, xmin: np.ndarray, exponent: np.ndarray
+def _ks_gaps(
+    ms: np.ndarray,
+    cum: np.ndarray,
+    first: np.ndarray,
+    stop: np.ndarray,
+    below: np.ndarray,
+    total: np.ndarray,
+    exponent: np.ndarray,
+    norm: np.ndarray,
 ) -> np.ndarray:
-    """KS distance of each tail ms[starts[k]:] against its law (exponent[k], xmin[k]).
+    """Largest gap between empirical and model tail CDFs of tail k over ms[first[k]:stop[k]].
 
-    The tails are concatenated, a bounded number of elements at a time, and
-    each tail's maximum gap is a segmented maximum over its stretch.
+    cum holds the running count of the sizes with a leading 0.  Tail k
+    starts after below[k] of them, its set ends after total[k], and its law
+    is exponent[k] with norm[k] = zeta(exponent[k], xmin).  Every stretch is
+    non-empty.  The stretches are concatenated, whole stretches up to
+    _KS_BLOCK elements at a time, and each maximum is a segmented maximum.
     """
-    cum = np.cumsum(cs)
-    lens = ms.size - starts
-    out = np.empty(starts.size)
-    first = 0
-    while first < starts.size:
-        # At least one tail per batch, then whole tails up to the block size.
-        last = first + max(1, int(np.searchsorted(np.cumsum(lens[first:]), _KS_BLOCK, "right")))
-        i, m = starts[first:last], lens[first:last]
-        seg = np.cumsum(m) - m
-        j = np.arange(int(m.sum())) - np.repeat(seg - i, m)
-        below = np.where(i > 0, cum[i - 1], 0)
-        ecdf = (cum[j] - np.repeat(below, m)) / np.repeat(cum[-1] - below, m)
-        norm = zeta(exponent[first:last], xmin[first:last])
-        model = 1.0 - zeta(np.repeat(exponent[first:last], m), ms[j] + 1) / np.repeat(norm, m)
-        out[first:last] = np.maximum.reduceat(np.abs(ecdf - model), seg)
-        first = last
+    lens = stop - first
+    ends = np.cumsum(lens)
+    out = np.empty(first.size)
+    lo = 0
+    while lo < first.size:
+        # At least one stretch per batch, then whole stretches up to the block size.
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _KS_BLOCK, "right")))
+        m = lens[lo:hi]
+        seg = ends[lo:hi] - m - base
+        j = np.arange(int(ends[hi - 1]) - base) + np.repeat(first[lo:hi] - seg, m)
+        tail_below = np.repeat(below[lo:hi], m)
+        ecdf = (cum[j + 1] - tail_below) / np.repeat(total[lo:hi] - below[lo:hi], m)
+        model = 1.0 - zeta(np.repeat(exponent[lo:hi], m), ms[j] + 1) / np.repeat(norm[lo:hi], m)
+        out[lo:hi] = np.maximum.reduceat(np.abs(ecdf - model), seg)
+        lo = hi
     return out
+
+
+def _ks_distances(
+    ms: np.ndarray, cs: np.ndarray, starts: np.ndarray, stops: np.ndarray, exponent: np.ndarray
+) -> np.ndarray:
+    """KS distance of each candidate, or inf where it cannot be its set's minimum.
+
+    Candidate k fits the tail ms[starts[k]:stops[k]] of the concatenated
+    size sets; the candidates of one set are consecutive and share stops.
+    A distance is a maximum over tail points, so the maximum over any
+    prefix is an exact lower bound on it.  Every candidate first gets a
+    bound from its first _KS_PROBE points; the candidate of lowest bound in
+    each set is then measured in full, and candidates whose bound lies
+    strictly above their set's best full distance are dropped.  The others
+    grow their prefixes fourfold per pass until each is measured in full.
+    A NaN bound or NaN best distance drops nothing.
+    """
+    cum = np.concatenate(([0], np.cumsum(cs)))
+    below, total = cum[starts], cum[stops]
+    norm = zeta(exponent, ms[starts])
+    length = stops - starts
+    heads = np.flatnonzero(np.r_[True, stops[1:] != stops[:-1]])
+    group = np.repeat(np.arange(heads.size), np.diff(np.r_[heads, stops.size]))
+    bound = np.full(starts.size, -np.inf)
+    done = np.zeros_like(length)
+
+    def grow(k: np.ndarray, new: np.ndarray) -> None:
+        i = starts[k]
+        gaps = _ks_gaps(ms, cum, i + done[k], i + new, below[k], total[k], exponent[k], norm[k])
+        bound[k] = np.maximum(bound[k], gaps)
+        done[k] = new
+
+    grow(np.arange(starts.size), np.minimum(length, _KS_PROBE))
+    lead = np.lexsort((bound, group))[heads]  # lowest bound per set, earliest on ties
+    lead = lead[done[lead] < length[lead]]
+    grow(lead, length[lead])
+    alive = np.ones(starts.size, dtype=bool)
+    while True:
+        complete = done == length
+        best = np.minimum.reduceat(np.where(complete, bound, np.inf), heads)
+        alive &= ~(bound > best[group])
+        k = np.flatnonzero(alive & ~complete)
+        if not k.size:
+            return np.where(alive, bound, np.inf)
+        grow(k, np.minimum(length[k], 4 * done[k]))
 
 
 def ks_distance(
@@ -234,11 +321,125 @@ def ks_distance(
     ms, cs = _as_sizes_counts(sizes)
     if int(cs.sum()) < 2:
         raise ValueError("need at least two sizes to measure a distance")
+    if xmin < 1:
+        raise ValueError("xmin must be at least 1")
     if int(ms[0]) < xmin:
         raise ValueError("all sizes must be >= xmin")
     if exponent <= 1.0:
         raise ValueError("exponent must exceed 1")
-    return float(_ks_distances(ms, cs, np.array([0]), np.array([xmin]), np.array([exponent]))[0])
+    cum = np.concatenate(([0], np.cumsum(cs)))
+    b = np.array([exponent])
+    norm = zeta(b, np.array([xmin]))
+    gaps = _ks_gaps(ms, cum, np.array([0]), np.array([ms.size]), cum[:1], cum[-1:], b, norm)
+    return float(gaps[0])
+
+
+def _grid_power_sum(lo: int, n: int, alpha: float) -> float:
+    """np.sum(np.arange(lo, lo + n, dtype=np.float64) ** -alpha), a chunk at a time.
+
+    numpy sums a contiguous float64 array pairwise: a stretch of more than
+    128 elements is split after n // 2 elements rounded down to a multiple
+    of 8, and a stretch's sum depends on its elements alone.  Replaying
+    those splits down to stretches of at most _SUM_CHUNK elements, each
+    summed by np.sum, gives the same bits in memory bounded by the chunk
+    rather than by the largest size.
+    """
+    if n <= _SUM_CHUNK:
+        return float(np.sum(np.arange(lo, lo + n, dtype=np.float64) ** -alpha))
+    half = n // 2
+    half -= half % 8
+    return _grid_power_sum(lo, half, alpha) + _grid_power_sum(lo + half, n - half, alpha)
+
+
+def _fit_sets(
+    size_sets: Iterable[SizeHistogram | Decomposition | Iterable[int] | np.ndarray],
+    min_tail: int,
+    xmin_range: tuple[int, int] | None,
+) -> list[PowerLawFit | InsufficientTailError]:
+    """Fit every set, or say why a set has no cutoff candidate; see fit."""
+    out: list = []
+    sets: list[_Candidates] = []
+    for data in size_sets:
+        ms, cs = _as_sizes_counts(data)
+        if ms.size == 0:
+            out.append(InsufficientTailError("empty size distribution"))
+            continue
+        if min_tail < 2:
+            raise ValueError("min_tail must be at least 2")
+        if int(ms[0]) < 1:
+            raise ValueError(f"sizes must be at least 1, got {int(ms[0])}")
+
+        n_suffix = np.cumsum(cs[::-1])[::-1]
+        logsum_suffix = np.cumsum((cs * np.log(ms))[::-1])[::-1]
+        usable = n_suffix >= min_tail
+        usable[-1] = False  # a tail needs two distinct sizes
+        if not usable.any():
+            out.append(InsufficientTailError(
+                f"no cutoff candidate leaves at least {min_tail} tail samples"
+            ))
+            continue
+        if xmin_range is not None:
+            usable &= [xmin_range[0] <= m <= xmin_range[1] for m in ms.tolist()]
+            if not usable.any():
+                out.append(InsufficientTailError(
+                    f"no cutoff candidate with at least {min_tail} tail samples"
+                    f" lies in xmin_range {tuple(xmin_range)}"
+                ))
+                continue
+        sets.append(_Candidates(len(out), ms, cs, n_suffix, logsum_suffix, np.flatnonzero(usable)))
+        out.append(None)  # filled in below
+    if not sets:
+        return out
+
+    # Every candidate of every set: one lockstep search and one pruned KS pass.
+    offsets = np.cumsum([0] + [s.ms.size for s in sets])
+    ms_all = np.concatenate([s.ms for s in sets])
+    starts = np.concatenate([s.cand + o for s, o in zip(sets, offsets)])
+    stops = np.repeat(offsets[1:], [s.cand.size for s in sets])
+    b_all = _mle_exponents(
+        ms_all[starts],
+        np.concatenate([s.n_suffix[s.cand] for s in sets]),
+        np.concatenate([s.logsum_suffix[s.cand] for s in sets]),
+    )
+    d_all = _ks_distances(ms_all, np.concatenate([s.cs for s in sets]), starts, stops, b_all)
+
+    first = 0
+    for s in sets:
+        last = first + s.cand.size
+        k = first + int(np.argmin(d_all[first:last]))  # the earliest of equal distances
+        i = int(s.cand[k - first])
+        first = last
+        ms, cs = s.ms, s.cs
+        xmin, b = int(ms[i]), float(b_all[k])
+        alpha = b - 1.0
+        emp_tail_variation = float(np.dot(2 * cs[i:], ms[i:]))
+        model_sum = _grid_power_sum(xmin, int(ms[-1]) - xmin + 1, alpha)
+        out[s.slot] = PowerLawFit(
+            xmin=xmin,
+            count_exponent=b,
+            alpha=alpha,
+            ks_distance=float(d_all[k]),
+            n_tail=int(s.n_suffix[i]),
+            amplitude=emp_tail_variation / model_sum,
+        )
+    return out
+
+
+def fit_many(
+    size_sets: Iterable[SizeHistogram | Decomposition | Iterable[int] | np.ndarray],
+    *,
+    min_tail: int = DEFAULT_MIN_TAIL,
+    xmin_range: tuple[int, int] | None = None,
+) -> list[PowerLawFit | None]:
+    """fit of each size set, with None where fit raises InsufficientTailError.
+
+    All cutoff candidates of all sets are fitted together, and each result
+    is bit-identical to fitting its set alone.
+    """
+    return [
+        None if isinstance(f, InsufficientTailError) else f
+        for f in _fit_sets(size_sets, min_tail, xmin_range)
+    ]
 
 
 def fit(
@@ -258,47 +459,7 @@ def fit(
     model variation over the fitted range equals the empirical variation
     of the tail.
     """
-    ms, cs = _as_sizes_counts(data)
-    if ms.size == 0:
-        raise InsufficientTailError("empty size distribution")
-    if min_tail < 2:
-        raise ValueError("min_tail must be at least 2")
-    if int(ms[0]) < 1:
-        raise ValueError(f"sizes must be at least 1, got {int(ms[0])}")
-
-    n_suffix = np.cumsum(cs[::-1])[::-1]
-    logsum_suffix = np.cumsum((cs * np.log(ms))[::-1])[::-1]
-    usable = n_suffix >= min_tail
-    usable[-1] = False  # a tail needs two distinct sizes
-    if not usable.any():
-        raise InsufficientTailError(
-            f"no cutoff candidate leaves at least {min_tail} tail samples"
-        )
-    if xmin_range is not None:
-        usable &= [xmin_range[0] <= m <= xmin_range[1] for m in ms.tolist()]
-        if not usable.any():
-            raise InsufficientTailError(
-                f"no cutoff candidate with at least {min_tail} tail samples"
-                f" lies in xmin_range {tuple(xmin_range)}"
-            )
-    cand = np.flatnonzero(usable)
-
-    b_all = _mle_exponents(ms[cand], n_suffix[cand], logsum_suffix[cand])
-    d_all = _ks_distances(ms, cs, cand, ms[cand], b_all)
-    k = int(np.argmin(d_all))  # the earliest of equal distances
-    xmin, b, d, n_tail = int(ms[cand[k]]), float(b_all[k]), float(d_all[k]), int(n_suffix[cand[k]])
-
-    alpha = b - 1.0
-    mask = ms >= xmin
-    emp_tail_variation = float(np.dot(2 * cs[mask], ms[mask]))
-    grid = np.arange(xmin, int(ms[-1]) + 1, dtype=np.float64)
-    model_sum = float(np.sum(grid**-alpha))
-    amplitude = emp_tail_variation / model_sum
-    return PowerLawFit(
-        xmin=xmin,
-        count_exponent=b,
-        alpha=alpha,
-        ks_distance=d,
-        n_tail=n_tail,
-        amplitude=amplitude,
-    )
+    (f,) = _fit_sets([data], min_tail, xmin_range)
+    if isinstance(f, InsufficientTailError):
+        raise f
+    return f

@@ -14,11 +14,13 @@ not for pair identities: across a cut, the tied-minimum rule can change
 which minimum a pair reports.  The fit reads only sizes.
 
 Cost: every sample once in its block, plus per window the remnant and
-the concatenated tops (a handful of values per block), plus one fit per
-window.  The fit takes all of a window's cutoff candidates together in a
-few array passes, and its cost is set mostly by the window's distinct
-sizes.  Windows that cannot support a fit are marked, not dropped,
-keeping the output grid regular.
+the concatenated tops (a handful of values per block).  Each window's
+sizes are kept as a histogram, and every window is fitted in one
+fit_many call: the cutoff candidates of all windows share one lockstep
+likelihood search and one pruned KS pass, so the fit costs a few dozen
+array passes in all rather than per window, and its elementwise work is
+set by the windows' distinct sizes.  Windows that cannot support a fit
+are marked, not dropped, keeping the output grid regular.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import _INT64_MAX, StreamOrderError, decompose
-from .powerlaw import DEFAULT_MIN_TAIL, InsufficientTailError, PowerLawFit, fit
+from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, fit_many
+from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
+from .spectrum import SizeHistogram, histogram
 
 __all__ = ["WEEK_NS", "DAY_NS", "RollingConfig", "RollingPoint", "rolling_fit"]
 
@@ -139,7 +143,8 @@ def rolling_fit(
     past = np.searchsorted(edges, np.arange(q, q + n_windows)).tolist()
     blocks: dict[int, _Piece] = {}
 
-    out: list[RollingPoint] = []
+    ends: list[int] = []
+    windows: list[SizeHistogram] = []
     for i in range(n_windows):
         end = t0 + cfg.window + i * step
         lo, mid = cuts[first[i]], cuts[past[i]]
@@ -161,9 +166,12 @@ def rolling_fit(
             decompose(v[lo:hi], t[lo:hi])
             raise
         blocks.pop(first[i], None)  # later windows start past this block
-        try:
-            f = fit(sizes, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
-            out.append(RollingPoint(end, f, sizes.size, "ok"))
-        except InsufficientTailError:
-            out.append(RollingPoint(end, None, sizes.size, "insufficient_tail"))
-    return out
+        ends.append(end)
+        # Held as a histogram: a few hundred distinct sizes, not every movement.
+        windows.append(histogram(sizes))
+
+    fits = fit_many(windows, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
+    return [
+        RollingPoint(end, f, h.total_pairs, "insufficient_tail" if f is None else "ok")
+        for end, h, f in zip(ends, windows, fits)
+    ]

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_powerlaw as reference
 from persistick import powerlaw
-from persistick.oracle import gen_discrete_powerlaw
+from persistick.oracle import gen_discrete_powerlaw, gen_random_walk
 from persistick.powerlaw import (
     InsufficientTailError,
     PowerLawFit,
     fit,
+    fit_many,
     ks_distance,
     mle_count_exponent,
 )
+from persistick.rolling import RollingConfig, rolling_fit
 from persistick.spectrum import SizeHistogram
 
 
@@ -72,6 +78,11 @@ class TestKS:
             ks_distance([10, 12], 10, 1.0)
         with pytest.raises(ValueError):
             ks_distance([5, 12], 10, 2.5)
+
+    @pytest.mark.parametrize("sizes, xmin", [([1, 2, 3], 0), ([-5, 2, 3], -5)])
+    def test_rejects_xmin_below_one(self, sizes, xmin):
+        with pytest.raises(ValueError, match="xmin must be at least 1"):
+            ks_distance(sizes, xmin, 2.0)
 
 
 class TestFit:
@@ -135,6 +146,30 @@ class TestFit:
         # coming from different absolute price scales are bit-identical
         sizes = gen_discrete_powerlaw(5_000, 2.8, 3, seed=14)
         assert fit(sizes) == fit(sizes.copy())
+
+    def test_amplitude_memory_does_not_grow_with_the_largest_size(self):
+        sizes = np.r_[[1] * 100, [2] * 60, [3] * 30, [10**7]]
+        tracemalloc.start()
+        try:
+            f = fit(sizes, min_tail=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the whole float64 grid would be 80 MB
+        grid = np.arange(f.xmin, 10**7 + 1, dtype=np.float64)
+        np.power(grid, -f.alpha, out=grid)
+        emp = float(2 * sizes[sizes >= f.xmin].sum())
+        assert f.amplitude == emp / float(np.sum(grid))
+
+    @pytest.mark.parametrize("chunk", [136, 1 << 16])
+    def test_grid_sum_replays_numpy_pairwise_sum(self, monkeypatch, chunk):
+        monkeypatch.setattr(powerlaw, "_SUM_CHUNK", chunk)
+        rng = np.random.default_rng(44)
+        lengths = [1, 7, 8, 129, 136, 137, 1 << 16, (1 << 16) + 1, (1 << 17) + 9, 1_234_567]
+        for n in lengths + rng.integers(1, 300_000, size=8).tolist():
+            lo, alpha = int(rng.integers(1, 10_000)), float(rng.uniform(0.01, 5.0))
+            want = float(np.sum(np.arange(lo, lo + n, dtype=np.float64) ** -alpha))
+            assert powerlaw._grid_power_sum(lo, n, alpha) == want
 
     def test_fit_is_deterministic_dataclass(self):
         sizes = gen_discrete_powerlaw(5_000, 2.8, 3, seed=15)
@@ -275,3 +310,110 @@ class TestBitIdentity:
         monkeypatch.setattr(powerlaw, "_ks_distances", lambda ms, cs, cand, xmin, b: np.full(cand.size, 0.5))
         assert fit(sizes, min_tail=5).xmin == int(sizes.min())
         assert fit(sizes, min_tail=5, xmin_range=(5, 9)).xmin == 5
+
+    @pytest.mark.skipif(
+        not scipy.__version__.startswith("1.17."),
+        reason="the reference's bounded search is a copy of scipy 1.17.1's",
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_frozen_search_equals_installed_scipy(self):
+        from scipy.optimize import minimize_scalar
+
+        lanes = [(2, 10, 9.0), (2, 10, np.nan), (0, 10, 5.0), (1, 10, np.inf), (3, 40, 60.0)]
+        for seed in range(3):
+            ms, cs = np.unique(gen_discrete_powerlaw(2_000, 1.5 + seed, 2, seed=45 + seed), return_counts=True)
+            n = np.cumsum(cs[::-1])[::-1]
+            log_sum = np.cumsum((cs * np.log(ms))[::-1])[::-1]
+            lanes += list(zip(ms[:-1].tolist(), n[:-1].tolist(), log_sum[:-1].tolist()))
+        for maxiter in (1, 2, 8, 20, 500):
+            for lane in lanes:
+                f = reference.neg_log_likelihood(*lane)
+                got = reference._minimize_scalar_bounded(f, powerlaw._BRACKET, xatol=1e-9, maxiter=maxiter)
+                want = minimize_scalar(
+                    f, bounds=powerlaw._BRACKET, method="bounded",
+                    options={"xatol": 1e-9, "maxiter": maxiter},
+                )
+                assert repr((float(got.x), float(got.fun), got.status, got.nfev)) == repr(
+                    (float(want.x), float(want.fun), want.status, want.nfev)
+                )
+
+
+def _fit_or_none(sizes, **kw):
+    try:
+        return fit(sizes, **kw)
+    except InsufficientTailError:
+        return None
+
+
+class TestFitMany:
+    """fit_many of many sets equals fit of each set alone, with None for fit's error."""
+
+    @given(
+        st.lists(
+            size_multisets()
+            | st.just(np.array([], dtype=np.int64))
+            | st.lists(st.integers(1, 9), max_size=5).map(np.array),
+            max_size=6,
+        ),
+        st.integers(2, 60),
+        st.none() | st.tuples(st.integers(0, 60), st.integers(0, 80)),
+        st.sampled_from([None, 1, 2, 8, 20]),
+        st.sampled_from([None, 7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fit_of_each_set(self, sets, min_tail, xmin_range, maxfun, ks_block):
+        with mock.patch.object(powerlaw, "_MAXFUN", maxfun or powerlaw._MAXFUN), mock.patch.object(
+            powerlaw, "_KS_BLOCK", ks_block or powerlaw._KS_BLOCK
+        ):
+            got = fit_many(sets, min_tail=min_tail, xmin_range=xmin_range)
+            want = [_fit_or_none(s, min_tail=min_tail, xmin_range=xmin_range) for s in sets]
+        assert got == want
+
+    def test_checks_raise_as_fit_does(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            fit_many([[3, 4], [0, 5]], min_tail=2)
+        with pytest.raises(ValueError, match="min_tail"):
+            fit_many([[3, 4]], min_tail=1)
+        assert fit_many([], min_tail=2) == []
+
+    def test_earliest_of_tied_distances_wins_after_pruning(self, monkeypatch):
+        # Sizes 1..40 once each: candidate s has s sizes below its cutoff.
+        # Made-up gaps: candidate 0 peaks at 0.5 on its first point, candidate
+        # 1 peaks at 0.5 past the first pass, and every later one starts at
+        # 0.9.  Candidate 1 is measured first, so candidate 0 survives only if
+        # a bound equal to the best distance is kept.
+        def gap(s: int, j: int) -> float:
+            if s == 0:
+                return 0.5 if j == 0 else 0.1
+            if s == 1:
+                return 0.5 if j == 30 else 0.1
+            return 0.9 if j == 0 else 0.1
+
+        def fake_gaps(ms, cum, first, stop, below, total, exponent, norm):
+            return np.array([
+                max(gap(s, j - s) for j in range(f, t))
+                for s, f, t in zip(below.tolist(), first.tolist(), stop.tolist())
+            ])
+
+        monkeypatch.setattr(powerlaw, "_ks_gaps", fake_gaps)
+        f = fit(np.arange(1, 41), min_tail=2)
+        assert (f.xmin, f.ks_distance) == (1, 0.5)
+
+    def test_pruning_skips_most_tail_points(self, monkeypatch):
+        evaluated, total = [], []
+        ks_gaps, ks_distances = powerlaw._ks_gaps, powerlaw._ks_distances
+
+        def counting_gaps(ms, cum, first, stop, *rest):
+            evaluated.append(int((stop - first).sum()))
+            return ks_gaps(ms, cum, first, stop, *rest)
+
+        def counting_distances(ms, cs, starts, stops, exponent):
+            total.append(int((stops - starts).sum()))
+            return ks_distances(ms, cs, starts, stops, exponent)
+
+        monkeypatch.setattr(powerlaw, "_ks_gaps", counting_gaps)
+        monkeypatch.setattr(powerlaw, "_ks_distances", counting_distances)
+        times, values = gen_random_walk(100_000, seed=11, kind="gauss", dt=10**9)
+        pts = rolling_fit(values, times, RollingConfig(window=20_000 * 10**9, step=5_000 * 10**9))
+        assert len(pts) == 16 and len(total) == 1
+        assert sum(evaluated) < total[0] / 2

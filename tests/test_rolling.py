@@ -11,7 +11,7 @@ import reference_powerlaw as reference
 from persistick.core import StreamOrderError, decompose
 from persistick.oracle import gen_random_walk
 from persistick import rolling
-from persistick.powerlaw import InsufficientTailError, fit
+from persistick.powerlaw import InsufficientTailError, fit, fit_many
 from persistick.rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
 
 SECOND_NS = 10**9
@@ -279,6 +279,18 @@ class TestCost:
         # Per window: 8 blocks of 1 000 samples, but only their tops and the
         # one sample at the window end are decomposed again.
         assert sum(seen) < 1.3 * values.size
+
+    def test_every_window_fitted_in_one_batch(self, monkeypatch):
+        times, values = gen_random_walk(20_000, seed=9, kind="gauss", dt=SECOND_NS)
+        batches = []
+
+        def counting_fit_many(sets, **kw):
+            batches.append(len(sets))
+            return fit_many(sets, **kw)
+
+        monkeypatch.setattr(rolling, "fit_many", counting_fit_many)
+        pts = rolling_fit(values, times, RollingConfig(window=4_000 * SECOND_NS, step=1_000 * SECOND_NS))
+        assert batches == [len(pts)] == [16]
 
 
 class TestMatchesScalarFit:
