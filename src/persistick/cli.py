@@ -43,19 +43,28 @@ EXIT_INSUFFICIENT = 3
 _HOUR_NS = 3600 * 10**9
 
 
-def _write_atomic(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or its chunks in order, to a temp file renamed to path."""
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
-    # Created like open() creates files: mode 0o666 less the umask.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _write_atomic(directory: str, files: dict[str, str | Iterable[str]]) -> None:
+    """Write each named file's text, or its chunks in order, into directory as a set.
+
+    Every file is first written to a temp file; only when all of them are
+    written are they renamed into place.  On failure every temp file left
+    is removed, so no mix of old and new files comes from a failed write.
+    """
+    tmps: list[str] = []
     try:
-        with os.fdopen(fd, "w") as f:
-            f.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        for text in files.values():
+            tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+            # Created like open() creates files: mode 0o666 less the umask.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmps.append(tmp)
+            with os.fdopen(fd, "w") as f:
+                f.writelines([text] if isinstance(text, str) else text)
+        for tmp, name in zip(tmps, files):
+            os.replace(tmp, os.path.join(directory, name))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -142,8 +151,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         pairs = ["[]"] if first is None else itertools.chain(["[", first[1:]], rows, ["\n  ]"])
         tail = ",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:] + "\n"
         _write_atomic(
-            os.path.join(args.out, "decompose.json"),
-            itertools.chain(['{\n  "pairs": '], pairs, [tail]),
+            args.out, {"decompose.json": itertools.chain(['{\n  "pairs": '], pairs, [tail])}
         )
         return EXIT_OK
     pairs_text = itertools.chain(
@@ -158,9 +166,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "pair_count,tv_total,tv_top",
         f"{summary['pair_count']},{summary['tv_total']},{summary['tv_top']}",
     ]
-    _write_atomic(os.path.join(args.out, "pairs.csv"), pairs_text)
-    _write_atomic(os.path.join(args.out, "top.csv"), "\n".join(top_rows) + "\n")
-    _write_atomic(os.path.join(args.out, "summary.csv"), "\n".join(summary_rows) + "\n")
+    _write_atomic(args.out, {
+        "pairs.csv": pairs_text,
+        "top.csv": "\n".join(top_rows) + "\n",
+        "summary.csv": "\n".join(summary_rows) + "\n",
+    })
     return EXIT_OK
 
 
@@ -168,15 +178,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     t, v = _load_series(args)
     dec = decompose(v, t)
     h = histogram(dec)
-    spec_pts = spectrum(h).points
-    rows = ["m,n,S"] + [f"{m},{h.entries[m]},{s}" for m, s in spec_pts]
-    _write_atomic(os.path.join(args.out, "spectrum.csv"), "\n".join(rows) + "\n")
+    rows = ["m,n,S"] + [f"{m},{n},{s}" for n, (m, s) in zip(h.counts.tolist(), spectrum(h).points)]
+    _write_atomic(args.out, {"spectrum.csv": "\n".join(rows) + "\n"})
     if args.no_fit:
         return EXIT_OK
     f = fit(h, **_fit_kwargs(args))
-    grid = range(f.xmin, max(h.entries) + 1)
+    grid = range(f.xmin, int(h.sizes[-1]) + 1)
     overlay = ["m,S_model"] + [f"{m},{f.amplitude * m ** -f.alpha!r}" for m in grid]
-    _write_atomic(os.path.join(args.out, "fit_overlay.csv"), "\n".join(overlay) + "\n")
+    _write_atomic(args.out, {"fit_overlay.csv": "\n".join(overlay) + "\n"})
     return EXIT_OK
 
 
@@ -197,15 +206,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     f = fit(dec, **_fit_kwargs(args))
     if args.format == "json":
         _write_atomic(
-            os.path.join(args.out, "fit.json"),
-            json.dumps(_fit_doc(f), sort_keys=True, indent=2) + "\n",
+            args.out, {"fit.json": json.dumps(_fit_doc(f), sort_keys=True, indent=2) + "\n"}
         )
     else:
         rows = [
             "xmin,count_exponent,alpha,ks_distance,n_tail,amplitude",
             f"{f.xmin},{f.count_exponent!r},{f.alpha!r},{f.ks_distance!r},{f.n_tail},{f.amplitude!r}",
         ]
-        _write_atomic(os.path.join(args.out, "fit.csv"), "\n".join(rows) + "\n")
+        _write_atomic(args.out, {"fit.csv": "\n".join(rows) + "\n"})
     return EXIT_OK
 
 
@@ -226,7 +234,7 @@ def cmd_rolling(args: argparse.Namespace) -> int:
             rows.append(
                 f"{p.window_end},{p.fit.alpha!r},{p.fit.xmin},{p.fit.n_tail},{p.status}"
             )
-    _write_atomic(os.path.join(args.out, "rolling.csv"), "\n".join(rows) + "\n")
+    _write_atomic(args.out, {"rolling.csv": "\n".join(rows) + "\n"})
     return EXIT_OK
 
 
@@ -256,7 +264,7 @@ def cmd_continuous(args: argparse.Namespace) -> int:
             )
     cont = build_continuous(series, rule)
     rows = ["time,value_ticks"] + [f"{s.time},{s.value}" for s in cont]
-    _write_atomic(os.path.join(args.out, "continuous.csv"), "\n".join(rows) + "\n")
+    _write_atomic(args.out, {"continuous.csv": "\n".join(rows) + "\n"})
     return EXIT_OK
 
 

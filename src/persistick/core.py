@@ -81,111 +81,108 @@ class TopStructure:
             vals.append(self.pending.value)
         return vals
 
+    def variation(self) -> int:
+        """Total variation along the top values, exact."""
+        vals = self.values()
+        return sum(abs(b - a) for a, b in zip(vals, vals[1:]))
 
-# Four int64 columns (t_min, v_min, t_max, v_max) of consecutive pairs.
+
+# Four columns (t_min, v_min, t_max, v_max) of consecutive pairs: int64, or
+# object arrays of exact Python ints where a time, value or size leaves int64.
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _NO_PAIRS = np.zeros(0, dtype=np.int64)
 _NO_PAIRS.flags.writeable = False  # shared by every empty block
 
 
-def _int64_array(cells: list, what: str) -> np.ndarray:
-    """cells as an int64 array, or ValueError if one lies outside int64."""
+def _block(t_min: list, v_min: list, t_max: list, v_max: list) -> _Block:
+    """The pairs in four int lists as a new block, int64 if every time, value and size fits."""
+    cols = (t_min, v_min, t_max, v_max)
     try:
-        return np.array(cells, dtype=np.int64)
+        if all(vh - vl <= _INT64_MAX for vl, vh in zip(v_min, v_max)):
+            return tuple(np.array(c, dtype=np.int64) for c in cols)
     except OverflowError:
-        raise ValueError(f"a pair {what} is outside the int64 range") from None
+        pass
+    return tuple(np.array(c, dtype=object) for c in cols)
 
 
-def _pairs_from_columns(cols: Iterable[np.ndarray]) -> list[PersistentPair]:
-    mn, mx = Kind.MIN, Kind.MAX
-    return [
-        PersistentPair(Extremum(tl, vl, mn), Extremum(th, vh, mx))
-        for tl, vl, th, vh in zip(*(c.tolist() for c in cols))
-    ]
+def _as_int64(a: np.ndarray, what: str) -> np.ndarray:
+    """An array of ints (integer or object dtype) as int64, or ValueError if one leaves int64."""
+    try:
+        if a.dtype.kind == "u" and a.size and int(a.max()) > _INT64_MAX:
+            raise OverflowError
+        return a.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} is outside the int64 range") from None
 
 
 class Decomposition:
     """Result of a decomposition: completed pairs, top structure, variations.
 
-    Pairs are held as int64 column blocks (t_min, v_min, t_max, v_max) in
-    emission order.  Batch decompose gives one block; a Decomposer
-    snapshot shares the blocks its stream has already frozen.
-    PersistentPair objects are built only when .pairs is first read, so
-    sizes(), pair_count and pair_columns() stay cheap.  A decomposition
-    built from a pair list (the oracle, or a stream whose times or values
-    leave int64) keeps that list and exact Python ints instead.
+    Pairs are held only as column blocks (t_min, v_min, t_max, v_max) in
+    emission order, shared and never written.  A block is int64; only
+    where one of its times, values or sizes leaves int64 does it hold
+    object arrays of exact Python ints.  Batch decompose and the oracle
+    give one block; a Decomposer snapshot shares the blocks its stream has
+    already frozen.  PersistentPair objects are built only when .pairs is
+    first read, so sizes(), pair_count and pair_columns() stay cheap.
     """
 
     __slots__ = ("top", "tv_total", "tv_top", "_blocks", "_pairs", "_sizes")
 
     def __init__(
         self,
-        pairs: list[PersistentPair],
+        blocks: list[_Block],
         top: TopStructure,
         tv_total: int,
         tv_top: int,
     ) -> None:
-        self._blocks: list[_Block] | None = None
-        self._pairs: list[PersistentPair] | None = pairs
+        self._blocks = blocks
         self.top = top
         self.tv_total = tv_total
         self.tv_top = tv_top
+        self._pairs: list[PersistentPair] | None = None
         self._sizes: np.ndarray | None = None
 
-    @classmethod
-    def _from_blocks(
-        cls, blocks: list[_Block], top: TopStructure, tv_total: int, tv_top: int
-    ) -> Decomposition:
-        """A decomposition over a non-empty list of int64 column blocks, shared, never written."""
-        d = cls([], top, tv_total, tv_top)
-        d._blocks = blocks
-        d._pairs = None
-        return d
+    def _columns(self) -> _Block:
+        return tuple(np.concatenate(c) for c in zip(*self._blocks))
 
     @property
     def pairs(self) -> list[PersistentPair]:
         if self._pairs is None:
-            self._pairs = _pairs_from_columns(self.pair_columns())
+            mn, mx = Kind.MIN, Kind.MAX
+            self._pairs = [
+                PersistentPair(Extremum(tl, vl, mn), Extremum(th, vh, mx))
+                for tl, vl, th, vh in zip(*(c.tolist() for c in self._columns()))
+            ]
         return self._pairs
 
     def pair_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(t_min, v_min, t_max, v_max) of all pairs as int64 arrays, in emission order.
 
-        Reading them does not build the PersistentPair list.
+        Reading them does not build the PersistentPair list.  ValueError if
+        a time or value leaves int64.
         """
-        if self._blocks is None:
-            cols = _int64_array(
-                [(p.minimum.time, p.minimum.value, p.maximum.time, p.maximum.value)
-                 for p in self._pairs],
-                "time or value",
-            ).reshape(-1, 4)
-            return tuple(np.ascontiguousarray(c) for c in cols.T)
-        return tuple(np.concatenate(c) for c in zip(*self._blocks))
+        return tuple(_as_int64(c, "a pair time or value") for c in self._columns())
 
     @property
     def pair_count(self) -> int:
-        if self._blocks is None:
-            return len(self._pairs)
         return sum(len(b[0]) for b in self._blocks)
 
-    def sizes(self) -> np.ndarray:
-        """Movement sizes of all pairs, in emission order."""
+    def _size_column(self) -> np.ndarray:
+        """Sizes in emission order: int64, or exact Python ints if a block holds them."""
         if self._sizes is None:
-            if self._blocks is None:
-                self._sizes = _int64_array(
-                    [p.maximum.value - p.minimum.value for p in self._pairs], "size"
-                )
-            else:
-                self._sizes = np.concatenate([b[3] - b[1] for b in self._blocks])
+            self._sizes = np.concatenate([b[3] - b[1] for b in self._blocks])
         return self._sizes
+
+    def sizes(self) -> np.ndarray:
+        """Movement sizes of all pairs as int64, in emission order; ValueError if one leaves int64."""
+        return _as_int64(self._size_column(), "a pair size")
 
     def pair_variation(self) -> int:
         """Total variation captured by the pairs: sum of 2 * size, exact."""
-        if self._blocks is None:
-            return 2 * sum(p.maximum.value - p.minimum.value for p in self._pairs)
-        sizes = self.sizes()
-        if sizes.size * int(sizes.max(initial=0)) <= _INT64_MAX:
+        sizes = self._size_column()
+        if sizes.dtype == np.int64 and sizes.size * int(sizes.max(initial=0)) <= _INT64_MAX:
             return 2 * int(sizes.sum())
         return 2 * sum(sizes.tolist())
 
@@ -220,9 +217,11 @@ class Decomposer:
     The open top structure is two int lists (times, values); extremum
     kinds alternate along it, so none is stored.  Completed pairs go to
     four int64 columns, frozen into numpy blocks every _CHUNK pairs, so a
-    snapshot shares the frozen blocks and copies only the open chunk.  If
-    a pair's time, value or size leaves int64, the stream moves once to a
-    list of PersistentPair objects with exact Python ints and stays there.
+    snapshot shares the frozen blocks and copies only the open chunk.  At
+    the first pair whose time, value or size leaves int64, the open chunk
+    is frozen as it stands and the stream goes on in chunks of Python int
+    lists; each of those freezes to a block of its own, int64 if it fits
+    and exact object arrays otherwise, and snapshots share them likewise.
     """
 
     _CHUNK = 1 << 14  # pairs per frozen block
@@ -235,9 +234,9 @@ class Decomposer:
         self._dir = 0
         self._last_time: int | None = None
         self._tv_total = 0
-        self._cols = _open_chunk()
+        self._open_chunk = _int64_chunk  # _list_chunk once a pair has left int64
+        self._cols = _int64_chunk()
         self._blocks: list[_Block] = []
-        self._pairs: list[PersistentPair] | None = None  # replaces the columns beyond int64
 
     def push(self, sample: Sample | tuple[int, int]) -> list[PersistentPair]:
         t, v = sample
@@ -303,9 +302,6 @@ class Decomposer:
     def _record(self, tl: int, vl: int, th: int, vh: int) -> PersistentPair:
         """Store one completed pair; return it as a transient PersistentPair."""
         pair = PersistentPair(Extremum(tl, vl, Kind.MIN), Extremum(th, vh, Kind.MAX))
-        if self._pairs is not None:
-            self._pairs.append(pair)
-            return pair
         t_min, v_min, t_max, v_max = cols = self._cols
         n = len(t_min)
         try:
@@ -316,22 +312,19 @@ class Decomposer:
             fits = vh - vl <= _INT64_MAX  # so that sizes() cannot wrap
         except OverflowError:
             fits = False
-        if not fits:
+        if not fits and self._open_chunk is _int64_chunk:
+            # The first pair beyond int64: freeze the chunk without it and
+            # go on in list chunks.
             for c in cols:
                 del c[n:]
-            self._pairs = _pairs_from_columns(
-                np.concatenate(c) for c in zip(*self._snapshot_blocks())
-            )
-            self._pairs.append(pair)
-            self._blocks = self._cols = None
-        elif n + 1 == self._CHUNK:
-            self._blocks.append(tuple(np.frombuffer(c, dtype=np.int64) for c in cols))
-            self._cols = _open_chunk()
+            self._blocks.append(_freeze(cols))
+            self._open_chunk = _list_chunk
+            self._cols = cols = ([tl], [vl], [th], [vh])
+            n = 0
+        if n + 1 == self._CHUNK:
+            self._blocks.append(_freeze(cols))
+            self._cols = self._open_chunk()
         return pair
-
-    def _snapshot_blocks(self) -> list[_Block]:
-        """The frozen blocks, shared, and a copy of the open chunk."""
-        return self._blocks + [tuple(np.array(c, dtype=np.int64) for c in self._cols)]
 
     def finish(self) -> Decomposition:
         # The top of the stack is the extremum of the last turn, a minimum
@@ -344,15 +337,28 @@ class Decomposer:
         ]
         pending = None if self._held_v is None else Sample(self._held_t, self._held_v)
         top = TopStructure(extrema, pending)
-        vals = top.values()
-        tv_top = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
-        if self._pairs is not None:
-            return Decomposition(list(self._pairs), top, self._tv_total, tv_top)
-        return Decomposition._from_blocks(self._snapshot_blocks(), top, self._tv_total, tv_top)
+        # The frozen blocks are shared; the open chunk is copied.
+        cols = self._cols
+        if self._open_chunk is _int64_chunk:
+            copy = tuple(np.array(c, dtype=np.int64) for c in cols)
+        else:
+            copy = _block(*cols)
+        return Decomposition(self._blocks + [copy], top, self._tv_total, top.variation())
 
 
-def _open_chunk() -> tuple[array, array, array, array]:
+def _int64_chunk() -> tuple[array, array, array, array]:
     return array("q"), array("q"), array("q"), array("q")
+
+
+def _list_chunk() -> tuple[list, list, list, list]:
+    return [], [], [], []
+
+
+def _freeze(cols: tuple) -> _Block:
+    """A full chunk as a block; an int64 chunk's buffers become the block's, uncopied."""
+    if isinstance(cols[0], array):
+        return tuple(np.frombuffer(c, dtype=np.int64) for c in cols)
+    return _block(*cols)
 
 
 def decompose(
@@ -374,7 +380,7 @@ def decompose(
     if times is not None and np.asarray(times).size != n:
         raise ValueError("times and values length mismatch")
     if n == 0:
-        return Decomposition._from_blocks([(_NO_PAIRS,) * 4], TopStructure([], None), 0, 0)
+        return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], None), 0, 0)
     if v.dtype.kind not in "iu":
         raise TypeError("values must be integers (ticks)")
     lo, hi = int(v.min()), int(v.max())
@@ -389,7 +395,7 @@ def decompose(
         t = np.asarray(times)
         if t.dtype.kind not in "iu":
             raise TypeError("times must be integers")
-        t = t.astype(np.int64, copy=False)
+        t = _as_int64(t, "a time")
         if n > 1 and bool(np.any(t[1:] < t[:-1])):
             raise StreamOrderError("sample times are not non-decreasing")
 
@@ -405,7 +411,7 @@ def decompose(
         dv2 = np.diff(v2)
     if v2.size == 1:
         top = TopStructure([], Sample(int(t2[0]), int(v2[0])))
-        return Decomposition._from_blocks([(_NO_PAIRS,) * 4], top, 0, 0)
+        return Decomposition([(_NO_PAIRS,) * 4], top, 0, 0)
 
     rising = dv2 > 0  # dv2 is never zero after the collapse
     turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
@@ -477,10 +483,6 @@ def decompose(
         for j, tt, vv in zip(stk, top_times, stv)
     ]
     top = TopStructure(extrema, Sample(int(et[-1]), int(ev[-1])))
-    vals = top.values()
-    tv_top = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
     il = np.asarray(emit_lo, dtype=np.intp)
     ih = np.asarray(emit_hi, dtype=np.intp)
-    return Decomposition._from_blocks(
-        [(et[il], ev[il], et[ih], ev[ih])], top, tv_total, tv_top
-    )
+    return Decomposition([(et[il], ev[il], et[ih], ev[ih])], top, tv_total, top.variation())

@@ -15,13 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _NO_PAIRS,
     Decomposition,
     Extremum,
     Kind,
-    PersistentPair,
     Sample,
     StreamOrderError,
     TopStructure,
+    _block,
 )
 
 __all__ = [
@@ -69,10 +70,9 @@ def level_sweep_pairs(
         rv.append(v)
         rt.append(t)
 
-    if not rv:
-        return Decomposition([], TopStructure([], None), 0, 0)
-    if len(rv) == 1:
-        return Decomposition([], TopStructure([], Sample(rt[0], rv[0])), 0, 0)
+    if len(rv) < 2:
+        pending = Sample(rt[0], rv[0]) if rv else None
+        return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], pending), 0, 0)
 
     # Keep only turning points; the two endpoints always stay.
     ev: list[int] = [rv[0]]
@@ -115,7 +115,7 @@ def level_sweep_pairs(
     interior_maxima = [i for i in range(1, k - 1) if is_max[i]]
     interior_maxima.sort(key=lambda i: (ev[i], et[i]))
 
-    pairs: list[PersistentPair] = []
+    pairs: list[tuple[int, int]] = []  # (minimum, maximum) extremum indices
     for m in interior_maxima:
         p = prv[m]
         n = nxt[m]
@@ -139,12 +139,7 @@ def level_sweep_pairs(
                 low = p
             else:
                 continue
-        pairs.append(
-            PersistentPair(
-                minimum=Extremum(et[low], ev[low], Kind.MIN),
-                maximum=Extremum(et[m], mv, Kind.MAX),
-            )
-        )
+        pairs.append((low, m))
         unlink(low)
         unlink(m)
 
@@ -156,9 +151,11 @@ def level_sweep_pairs(
         for i in top_idx
     ]
     top = TopStructure(extrema, Sample(et[last], ev[last]))
-    tvals = top.values()
-    tv_top = sum(abs(b - a) for a, b in zip(tvals, tvals[1:]))
-    return Decomposition(pairs, top, tv_total, tv_top)
+    lows, highs = [low for low, _ in pairs], [m for _, m in pairs]
+    block = _block(
+        [et[i] for i in lows], [ev[i] for i in lows], [et[i] for i in highs], [ev[i] for i in highs]
+    )
+    return Decomposition([block], top, tv_total, top.variation())
 
 
 def gen_random_walk(

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .core import Decomposition
-from .spectrum import SizeHistogram
+from .spectrum import SizeHistogram, histogram
 
 __all__ = [
     "PowerLawFit",
@@ -98,24 +98,6 @@ class _Candidates(NamedTuple):
     n_suffix: np.ndarray
     logsum_suffix: np.ndarray
     cand: np.ndarray
-
-
-def _as_sizes_counts(
-    data: SizeHistogram | Decomposition | Iterable[int] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, SizeHistogram):
-        return data.sizes(), data.counts()
-    if isinstance(data, Decomposition):
-        arr = data.sizes()
-    else:
-        arr = np.asarray(list(data) if not isinstance(data, np.ndarray) else data)
-        if arr.size and arr.dtype.kind not in "iu":
-            raise TypeError("sizes must be integers")
-        arr = arr.astype(np.int64, copy=False)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    uniq, counts = np.unique(arr, return_counts=True)
-    return uniq.astype(np.int64), counts.astype(np.int64)
 
 
 def _mle_exponents(xmin: np.ndarray, n: np.ndarray, log_sum: np.ndarray) -> np.ndarray:
@@ -218,7 +200,8 @@ def _mle_exponents(xmin: np.ndarray, n: np.ndarray, log_sum: np.ndarray) -> np.n
 
 def mle_count_exponent(sizes: Sequence[int] | np.ndarray, xmin: int) -> float:
     """Maximum-likelihood exponent of the count law for sizes >= xmin."""
-    ms, cs = _as_sizes_counts(sizes)
+    h = histogram(sizes)
+    ms, cs = h.sizes, h.counts
     if int(cs.sum()) < 2:
         raise ValueError("need at least two sizes to estimate an exponent")
     if xmin < 1:
@@ -318,7 +301,8 @@ def ks_distance(
     sizes: Sequence[int] | np.ndarray, xmin: int, exponent: float
 ) -> float:
     """Max gap between empirical and model tail CDFs at observed sizes."""
-    ms, cs = _as_sizes_counts(sizes)
+    h = histogram(sizes)
+    ms, cs = h.sizes, h.counts
     if int(cs.sum()) < 2:
         raise ValueError("need at least two sizes to measure a distance")
     if xmin < 1:
@@ -360,7 +344,8 @@ def _fit_sets(
     out: list = []
     sets: list[_Candidates] = []
     for data in size_sets:
-        ms, cs = _as_sizes_counts(data)
+        h = histogram(data)
+        ms, cs = h.sizes, h.counts
         if ms.size == 0:
             out.append(InsufficientTailError("empty size distribution"))
             continue

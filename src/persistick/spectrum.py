@@ -8,32 +8,42 @@ all sizes it reproduces tv_total - tv_top exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import Decomposition, PersistentPair
+from .core import Decomposition, PersistentPair, _as_int64
 
 __all__ = ["SizeHistogram", "Spectrum", "histogram", "spectrum"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SizeHistogram:
-    """Counts of completed movements by integer size; zero counts omitted."""
+    """Counts of completed movements by integer size, as two int64 arrays.
 
-    entries: dict[int, int]
-    total_pairs: int
+    sizes is strictly ascending and counts[i] > 0 is the number of
+    movements of size sizes[i].  Two histograms are equal when both arrays
+    are equal.
+    """
 
-    def sizes(self) -> np.ndarray:
-        return np.fromiter(sorted(self.entries), dtype=np.int64, count=len(self.entries))
+    sizes: np.ndarray
+    counts: np.ndarray
 
-    def counts(self) -> np.ndarray:
-        return np.fromiter(
-            (self.entries[m] for m in sorted(self.entries)),
-            dtype=np.int64,
-            count=len(self.entries),
-        )
+    @property
+    def entries(self) -> dict[int, int]:
+        """size -> count, as Python ints."""
+        return dict(zip(self.sizes.tolist(), self.counts.tolist()))
+
+    @property
+    def total_pairs(self) -> int:
+        return int(self.counts.sum())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SizeHistogram):
+            return NotImplemented
+        return np.array_equal(self.sizes, other.sizes) and np.array_equal(self.counts, other.counts)
 
 
 @dataclass(frozen=True)
@@ -47,34 +57,29 @@ class Spectrum:
 
 
 def histogram(
-    pairs: Decomposition | Iterable[PersistentPair] | np.ndarray,
+    data: SizeHistogram | Decomposition | Iterable[PersistentPair | int] | np.ndarray,
 ) -> SizeHistogram:
     """Count completed movements by size.
 
-    Accepts a Decomposition, an iterable of pairs, or a bare integer array
-    of sizes.
+    Accepts a Decomposition, an iterable of pairs or of integer sizes, or
+    an integer array of sizes; a SizeHistogram is returned as it is.
+    Sizes outside int64 raise ValueError.
     """
-    if isinstance(pairs, Decomposition):
-        size_arr = pairs.sizes()
-    elif isinstance(pairs, np.ndarray):
-        if pairs.dtype.kind not in "iu":
+    if isinstance(data, SizeHistogram):
+        return data
+    if isinstance(data, Decomposition):
+        sizes = data.sizes()
+    elif isinstance(data, np.ndarray):
+        if data.size and data.dtype.kind not in "iu":
             raise TypeError("sizes must be integers")
-        size_arr = pairs.astype(np.int64, copy=False)
+        sizes = _as_int64(data, "a size")
     else:
-        mat = list(pairs)
-        size_arr = np.fromiter(
-            (p.maximum.value - p.minimum.value for p in mat),
-            dtype=np.int64,
-            count=len(mat),
-        )
-    if size_arr.size == 0:
-        return SizeHistogram({}, 0)
-    uniq, counts = np.unique(size_arr, return_counts=True)
-    entries = dict(zip(uniq.tolist(), counts.tolist()))
-    return SizeHistogram(entries, int(size_arr.size))
+        cells = [operator.index(p.size if isinstance(p, PersistentPair) else p) for p in data]
+        sizes = _as_int64(np.array(cells, dtype=object), "a size")
+    uniq, counts = np.unique(sizes, return_counts=True)
+    return SizeHistogram(uniq, counts.astype(np.int64, copy=False))
 
 
 def spectrum(h: SizeHistogram) -> Spectrum:
-    """Variation spectrum of a histogram: S(m) = 2 * count(m) * m."""
-    pts = [(m, 2 * h.entries[m] * m) for m in sorted(h.entries)]
-    return Spectrum(pts)
+    """Variation spectrum of a histogram: S(m) = 2 * count(m) * m, in exact ints."""
+    return Spectrum([(m, 2 * c * m) for m, c in zip(h.sizes.tolist(), h.counts.tolist())])

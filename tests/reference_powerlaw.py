@@ -15,7 +15,8 @@ import numpy as np
 from numpy import sqrt
 from scipy.special import zeta
 
-from persistick.powerlaw import _BRACKET, InsufficientTailError, PowerLawFit, _as_sizes_counts
+from persistick.core import Decomposition
+from persistick.powerlaw import _BRACKET, InsufficientTailError, PowerLawFit
 
 
 class BoundedResult(NamedTuple):
@@ -197,9 +198,15 @@ def mle_from_counts(xmin: int, n: int, log_sum: float, maxiter: int = 500) -> fl
     return float(min(max(approx, _BRACKET[0]), _BRACKET[1]))
 
 
+def sizes_counts(data) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sizes, ascending, and their counts, of a Decomposition or of sizes."""
+    arr = data.sizes() if isinstance(data, Decomposition) else np.asarray(data, dtype=np.int64)
+    return np.unique(arr, return_counts=True)
+
+
 def mle_count_exponent(sizes, xmin: int, maxiter: int = 500) -> float:
     """Valid inputs only: the package checks them."""
-    ms, cs = _as_sizes_counts(sizes)
+    ms, cs = sizes_counts(sizes)
     return mle_from_counts(xmin, int(cs.sum()), float(np.dot(cs, np.log(ms))), maxiter)
 
 
@@ -212,7 +219,7 @@ def ks_from_counts(ms: np.ndarray, cs: np.ndarray, xmin: int, exponent: float) -
 
 
 def fit(data, *, min_tail: int = 50, xmin_range=None, maxiter: int = 500) -> PowerLawFit:
-    ms, cs = _as_sizes_counts(data)
+    ms, cs = sizes_counts(data)
     if ms.size == 0:
         raise InsufficientTailError("empty size distribution")
 

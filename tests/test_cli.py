@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -81,6 +82,35 @@ class TestDecompose:
         assert (tmp_path / "summary.csv").read_text() == (
             "pair_count,tv_total,tv_top\n2,29,17\n"
         )
+
+    def test_failed_write_leaves_the_previous_set(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "quotes.csv"
+        write_walk_csv(src, 500, seed=3)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ("decompose", str(src), "--tick", "0.01", "--columns", "time,price", "--out", str(out))
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["pairs.csv", "summary.csv", "top.csv"]
+        write_walk_csv(src, 700, seed=4)  # a new input, so every output would change
+        real_fdopen = os.fdopen
+        calls = []
+
+        def fdopen(fd, *args, **kwargs):
+            calls.append(fd)
+            if len(calls) == 2:  # top.csv, after pairs.csv was written
+                os.close(fd)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_fdopen(fd, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "fdopen", fdopen)
+        assert run(*argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(out.glob(".tmp-*"))
+        monkeypatch.undo()
+        assert run(*argv) == 0
+        assert all((out / name).read_bytes() != data for name, data in before.items())
 
     def test_json_output(self, tmp_path):
         src = tmp_path / "quotes.csv"

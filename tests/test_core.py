@@ -15,6 +15,7 @@ from persistick.core import (
     PersistentPair,
     Sample,
     StreamOrderError,
+    TopStructure,
     decompose,
     total_variation,
 )
@@ -142,6 +143,16 @@ class TestBatchDecompose:
         with pytest.raises(ValueError):
             decompose([1, 2, 3], times=[0, 1])
 
+    def test_rejects_uint64_times_beyond_int64(self):
+        # Cast to int64 these would wrap to negative times; the stream keeps them exact.
+        times = np.array([2**63 + 1, 2**63 + 2, 2**63 + 3, 2**63 + 4], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64 range"):
+            decompose([1, 3, 2, 5], times)
+        assert stream_decompose([1, 3, 2, 5], times.tolist()).top.pending.time == 2**63 + 4
+        small = np.array([0, 1, 2, 2**63 - 1], dtype=np.uint64)
+        want = stream_decompose([1, 3, 2, 5], small.tolist())
+        assert_same_decomposition(decompose([1, 3, 2, 5], small), want)
+
     def test_rejects_decreasing_times(self):
         with pytest.raises(StreamOrderError):
             decompose([1, 2, 3], times=[0, 2, 1])
@@ -241,6 +252,13 @@ class TestTypes:
     def test_total_variation_empty(self):
         assert total_variation([]) == 0
 
+    def test_top_variation(self):
+        top = TopStructure([Extremum(0, 2**64, Kind.MAX), Extremum(1, -3, Kind.MIN)], Sample(2, 4))
+        assert top.variation() == 2**64 + 3 + 7
+        assert TopStructure([], None).variation() == 0
+        dec = decompose([5, 1, 4, 2, 6, 0])
+        assert dec.top.variation() == dec.tv_top == 4 + 5 + 6
+
     def test_repr_small(self):
         dec = decompose([5, 1, 4, 2, 6])
         assert "pairs=1" in repr(dec)
@@ -309,6 +327,32 @@ class TestStreamBeyondInt64:
         assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values, times))
         assert decomposition_digest(before) == want_before
         assert decomposition_digest(after) == want_after
+
+    def test_object_blocks_are_frozen_and_shared(self, monkeypatch):
+        monkeypatch.setattr(Decomposer, "_CHUNK", 3)
+        t, v = gen_random_walk(200, seed=4, kind="pm1", zero_prob=0.3)
+        # int64 pairs first, then pairs whose values leave int64
+        values = v[:40].tolist() + [x + 2**63 for x in v[40:].tolist()]
+        times = t.tolist()
+        d = Decomposer()
+        for s in zip(times[:150], values[:150]):
+            d.push(s)
+        first = d.finish()
+        frozen = first._blocks[:-1]
+        kinds = [b[1].dtype for b in frozen]
+        assert kinds[0] == np.int64 and kinds.count(object) >= 3
+        for s in zip(times[150:], values[150:]):
+            d.push(s)
+        second = d.finish()
+        # The blocks frozen before the first snapshot are the same objects;
+        # the second copied only its own open chunk.
+        assert all(a is b for a, b in zip(second._blocks, frozen))
+        assert len(second._blocks[-1][0]) == len(d._cols[0]) < 3
+        oracle = level_sweep_pairs(values, times)
+        assert decomposition_digest(second) == decomposition_digest(oracle)
+        assert second.pair_variation() == oracle.pair_variation()
+        oracle = level_sweep_pairs(values[:150], times[:150])
+        assert decomposition_digest(first) == decomposition_digest(oracle)
 
 
 class TestSnapshots:

@@ -127,7 +127,7 @@ class TestFit:
     def test_accepts_histogram(self):
         sizes = gen_discrete_powerlaw(10_000, 3.0, 2, seed=12)
         uniq, counts = np.unique(sizes, return_counts=True)
-        h = SizeHistogram(dict(zip(uniq.tolist(), counts.tolist())), int(sizes.size))
+        h = SizeHistogram(uniq, counts)
         fa = fit(h)
         fb = fit(sizes)
         assert fa == fb

@@ -185,6 +185,15 @@ class TestErrors:
         with pytest.raises(TypeError, match="times must be integers"):
             rolling_fit(values, times + 0.5, cfg)
 
+    def test_uint64_times_beyond_int64(self):
+        times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
+        cfg = RollingConfig(window=40 * SECOND_NS, step=20 * SECOND_NS)
+        # Cast to int64 these would wrap to negative window ends.
+        with pytest.raises(ValueError, match="int64 range"):
+            rolling_fit(values, times.astype(np.uint64) + np.uint64(2**63), cfg)
+        points = rolling_fit(values, times.astype(np.uint64), cfg)
+        assert points == rolling_fit(values, times, cfg)
+
     def test_decreasing_time_after_the_last_window(self):
         times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
         times[-1] = times[-3]  # past the last window's end, which is times[-2]
