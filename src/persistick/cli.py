@@ -54,10 +54,8 @@ def _write_atomic(directory: str, files: dict[str, str | Iterable[str]]) -> None
     try:
         for text in files.values():
             tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
-            # Created like open() creates files: mode 0o666 less the umask.
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            tmps.append(tmp)
-            with os.fdopen(fd, "w") as f:
+            with open(tmp, "x") as f:
+                tmps.append(tmp)
                 f.writelines([text] if isinstance(text, str) else text)
         for tmp, name in zip(tmps, files):
             os.replace(tmp, os.path.join(directory, name))
@@ -87,13 +85,6 @@ def _load_series(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
     with open(args.input, newline="") as f:
         ticks = parse_ticks(f, spec, columns=args.columns, delimiter=args.delimiter)
     return ticks.times, ticks.values
-
-
-def _fit_kwargs(args: argparse.Namespace) -> dict:
-    kw = {"min_tail": args.min_tail}
-    if args.xmin_range is not None:
-        kw["xmin_range"] = args.xmin_range
-    return kw
 
 
 def _kind_name(kind: Kind) -> str:
@@ -182,7 +173,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     _write_atomic(args.out, {"spectrum.csv": "\n".join(rows) + "\n"})
     if args.no_fit:
         return EXIT_OK
-    f = fit(h, **_fit_kwargs(args))
+    f = fit(h, min_tail=args.min_tail, xmin_range=args.xmin_range)
     grid = range(f.xmin, int(h.sizes[-1]) + 1)
     overlay = ["m,S_model"] + [f"{m},{f.amplitude * m ** -f.alpha!r}" for m in grid]
     _write_atomic(args.out, {"fit_overlay.csv": "\n".join(overlay) + "\n"})
@@ -203,7 +194,7 @@ def _fit_doc(f) -> dict:
 def cmd_fit(args: argparse.Namespace) -> int:
     t, v = _load_series(args)
     dec = decompose(v, t)
-    f = fit(dec, **_fit_kwargs(args))
+    f = fit(dec, min_tail=args.min_tail, xmin_range=args.xmin_range)
     if args.format == "json":
         _write_atomic(
             args.out, {"fit.json": json.dumps(_fit_doc(f), sort_keys=True, indent=2) + "\n"}

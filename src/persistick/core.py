@@ -99,10 +99,13 @@ def _block(t_min: list, v_min: list, t_max: list, v_max: list) -> _Block:
     """The pairs in four int lists as a new block, int64 if every time, value and size fits."""
     cols = (t_min, v_min, t_max, v_max)
     try:
-        if all(vh - vl <= _INT64_MAX for vl, vh in zip(v_min, v_max)):
-            return tuple(np.array(c, dtype=np.int64) for c in cols)
-    except OverflowError:
+        block = tuple(np.array(c, dtype=np.int64) for c in cols)
+    except OverflowError:  # a time or value outside int64
         pass
+    else:
+        # Every pair has v_max > v_min, so a size beyond int64 wraps negative.
+        if not (block[3] - block[1] < 0).any():
+            return block
     return tuple(np.array(c, dtype=object) for c in cols)
 
 
@@ -114,6 +117,17 @@ def _as_int64(a: np.ndarray, what: str) -> np.ndarray:
         return a.astype(np.int64, copy=False)
     except OverflowError:
         raise ValueError(f"{what} is outside the int64 range") from None
+
+
+def _as_times(times: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Sample times as int64; TypeError unless integers, StreamOrderError if they decrease."""
+    t = np.asarray(times)
+    if t.dtype.kind not in "iu":
+        raise TypeError("times must be integers")
+    t = _as_int64(t, "a time")
+    if bool(np.any(t[1:] < t[:-1])):
+        raise StreamOrderError("sample times are not non-decreasing")
+    return t
 
 
 class Decomposition:
@@ -215,16 +229,14 @@ class Decomposer:
     afterwards.
 
     The open top structure is two int lists (times, values); extremum
-    kinds alternate along it, so none is stored.  Completed pairs go to
-    four int64 columns, frozen into numpy blocks every _CHUNK pairs, so a
-    snapshot shares the frozen blocks and copies only the open chunk.  At
-    the first pair whose time, value or size leaves int64, the open chunk
-    is frozen as it stands and the stream goes on in chunks of Python int
-    lists; each of those freezes to a block of its own, int64 if it fits
-    and exact object arrays otherwise, and snapshots share them likewise.
+    kinds alternate along it, so none is stored.  Completed pairs go to a
+    chunk of four Python int lists, frozen by _block every _CHUNK pairs
+    into a block of its own: int64 if its times, values and sizes fit,
+    exact object arrays otherwise.  A snapshot shares the frozen blocks
+    and freezes a copy of only the open chunk.
     """
 
-    _CHUNK = 1 << 14  # pairs per frozen block
+    _CHUNK = 1 << 10  # pairs per frozen block
 
     def __init__(self) -> None:
         self._times: list[int] = []
@@ -234,8 +246,7 @@ class Decomposer:
         self._dir = 0
         self._last_time: int | None = None
         self._tv_total = 0
-        self._open_chunk = _int64_chunk  # _list_chunk once a pair has left int64
-        self._cols = _int64_chunk()
+        self._cols: tuple[list, list, list, list] = ([], [], [], [])
         self._blocks: list[_Block] = []
 
     def push(self, sample: Sample | tuple[int, int]) -> list[PersistentPair]:
@@ -301,30 +312,15 @@ class Decomposer:
 
     def _record(self, tl: int, vl: int, th: int, vh: int) -> PersistentPair:
         """Store one completed pair; return it as a transient PersistentPair."""
-        pair = PersistentPair(Extremum(tl, vl, Kind.MIN), Extremum(th, vh, Kind.MAX))
         t_min, v_min, t_max, v_max = cols = self._cols
-        n = len(t_min)
-        try:
-            t_min.append(tl)
-            v_min.append(vl)
-            t_max.append(th)
-            v_max.append(vh)
-            fits = vh - vl <= _INT64_MAX  # so that sizes() cannot wrap
-        except OverflowError:
-            fits = False
-        if not fits and self._open_chunk is _int64_chunk:
-            # The first pair beyond int64: freeze the chunk without it and
-            # go on in list chunks.
-            for c in cols:
-                del c[n:]
-            self._blocks.append(_freeze(cols))
-            self._open_chunk = _list_chunk
-            self._cols = cols = ([tl], [vl], [th], [vh])
-            n = 0
-        if n + 1 == self._CHUNK:
-            self._blocks.append(_freeze(cols))
-            self._cols = self._open_chunk()
-        return pair
+        t_min.append(tl)
+        v_min.append(vl)
+        t_max.append(th)
+        v_max.append(vh)
+        if len(t_min) == self._CHUNK:
+            self._blocks.append(_block(*cols))
+            self._cols = ([], [], [], [])
+        return PersistentPair(Extremum(tl, vl, Kind.MIN), Extremum(th, vh, Kind.MAX))
 
     def finish(self) -> Decomposition:
         # The top of the stack is the extremum of the last turn, a minimum
@@ -338,27 +334,8 @@ class Decomposer:
         pending = None if self._held_v is None else Sample(self._held_t, self._held_v)
         top = TopStructure(extrema, pending)
         # The frozen blocks are shared; the open chunk is copied.
-        cols = self._cols
-        if self._open_chunk is _int64_chunk:
-            copy = tuple(np.array(c, dtype=np.int64) for c in cols)
-        else:
-            copy = _block(*cols)
-        return Decomposition(self._blocks + [copy], top, self._tv_total, top.variation())
-
-
-def _int64_chunk() -> tuple[array, array, array, array]:
-    return array("q"), array("q"), array("q"), array("q")
-
-
-def _list_chunk() -> tuple[list, list, list, list]:
-    return [], [], [], []
-
-
-def _freeze(cols: tuple) -> _Block:
-    """A full chunk as a block; an int64 chunk's buffers become the block's, uncopied."""
-    if isinstance(cols[0], array):
-        return tuple(np.frombuffer(c, dtype=np.int64) for c in cols)
-    return _block(*cols)
+        blocks = self._blocks + [_block(*self._cols)]
+        return Decomposition(blocks, top, self._tv_total, top.variation())
 
 
 def decompose(
@@ -392,12 +369,7 @@ def decompose(
     if times is None:
         t = np.arange(n, dtype=np.int64)
     else:
-        t = np.asarray(times)
-        if t.dtype.kind not in "iu":
-            raise TypeError("times must be integers")
-        t = _as_int64(t, "a time")
-        if n > 1 and bool(np.any(t[1:] < t[:-1])):
-            raise StreamOrderError("sample times are not non-decreasing")
+        t = _as_times(times)
 
     dv = np.diff(v)
     keep = np.empty(n, dtype=bool)

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, StreamOrderError, _as_int64, decompose
+from .core import _INT64_MAX, _as_times, decompose
 from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
 from .spectrum import SizeHistogram, histogram
@@ -121,11 +121,7 @@ def rolling_fit(
         raise ValueError("times and values length mismatch")
     if t.size == 0:
         raise ValueError("empty series")
-    if t.dtype.kind not in "iu":
-        raise TypeError("times must be integers")
-    t = _as_int64(t, "a time")
-    if bool(np.any(t[1:] < t[:-1])):
-        raise StreamOrderError("sample times are not non-decreasing")
+    t = _as_times(t)
     t0 = int(t[0])
     span = int(t[-1]) - t0
     if cfg.window > span:

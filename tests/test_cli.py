@@ -93,17 +93,17 @@ class TestDecompose:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(before) == ["pairs.csv", "summary.csv", "top.csv"]
         write_walk_csv(src, 700, seed=4)  # a new input, so every output would change
-        real_fdopen = os.fdopen
-        calls = []
+        real_open = open
+        temps = []
 
-        def fdopen(fd, *args, **kwargs):
-            calls.append(fd)
-            if len(calls) == 2:  # top.csv, after pairs.csv was written
-                os.close(fd)
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_fdopen(fd, *args, **kwargs)
+        def fake_open(file, mode="r", *args, **kwargs):
+            if mode == "x":  # a temp output file, not the input
+                temps.append(file)
+                if len(temps) == 2:  # top.csv, after pairs.csv was written
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(cli.os, "fdopen", fdopen)
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
         assert run(*argv) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before

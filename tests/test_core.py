@@ -353,6 +353,45 @@ class TestStreamBeyondInt64:
         assert second.pair_variation() == oracle.pair_variation()
         oracle = level_sweep_pairs(values[:150], times[:150])
         assert decomposition_digest(first) == decomposition_digest(oracle)
+        # A tail back inside int64: once the chunk open at its first sample
+        # is frozen, every later block is int64 again.
+        k = len(values)
+        values += v[:120].tolist()
+        times += range(times[-1] + 1, times[-1] + 121)
+        d.push((times[k], values[k]))
+        settled = len(d._blocks) + 1
+        for s in zip(times[k + 1 :], values[k + 1 :]):
+            d.push(s)
+        third = d.finish()
+        back = third._blocks[settled:-1]
+        assert len(back) >= 2
+        assert all(c.dtype == np.int64 for b in back for c in b)
+        assert all(a is b for a, b in zip(third._blocks, second._blocks[:-1]))
+        assert decomposition_digest(third) == decomposition_digest(level_sweep_pairs(values, times))
+
+    @pytest.mark.parametrize(
+        "values, size, dtype",
+        [
+            ([2**63 - 1, 0, 2**63 - 1, 0], 2**63 - 1, np.int64),
+            # Both ends inside int64, but the size is not: in int64 it wraps.
+            ([0, -(2**63), 0, -(2**63)], 2**63, object),
+        ],
+    )
+    def test_block_size_at_the_int64_edge(self, monkeypatch, values, size, dtype):
+        monkeypatch.setattr(Decomposer, "_CHUNK", 1)
+        d = Decomposer()
+        for s in enumerate(values):
+            d.push(s)
+        assert [c.dtype for c in d._blocks[0]] == [dtype] * 4  # frozen by _record
+        dec = d.finish()
+        assert [p.size for p in dec.pairs] == [size]
+        assert dec.pair_variation() == 2 * size
+        assert decomposition_digest(dec) == decomposition_digest(level_sweep_pairs(values))
+        if dtype is np.int64:
+            assert dec.sizes().tolist() == [size]
+        else:
+            with pytest.raises(ValueError, match="int64"):
+                dec.sizes()
 
 
 class TestSnapshots:
