@@ -341,6 +341,8 @@ def _fit_sets(
     xmin_range: tuple[int, int] | None,
 ) -> list[PowerLawFit | InsufficientTailError]:
     """Fit every set, or say why a set has no cutoff candidate; see fit."""
+    if min_tail < 2:
+        raise ValueError("min_tail must be at least 2")
     out: list = []
     sets: list[_Candidates] = []
     for data in size_sets:
@@ -349,8 +351,6 @@ def _fit_sets(
         if ms.size == 0:
             out.append(InsufficientTailError("empty size distribution"))
             continue
-        if min_tail < 2:
-            raise ValueError("min_tail must be at least 2")
         if int(ms[0]) < 1:
             raise ValueError(f"sizes must be at least 1, got {int(ms[0])}")
 
@@ -435,7 +435,8 @@ def fit(
 ) -> PowerLawFit:
     """Select the cutoff and exponent for a movement-size distribution.
 
-    Sizes must be at least 1 (ValueError otherwise).  Every observed size
+    Sizes must be at least 1 and min_tail at least 2 (ValueError otherwise,
+    min_tail checked before any size).  Every observed size
     is a cutoff candidate, subject to the candidate tail holding at least
     min_tail samples (and at least two distinct sizes) and to the optional
     inclusive xmin_range.  Each candidate gets its own maximum-likelihood

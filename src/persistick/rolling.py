@@ -1,21 +1,21 @@
 """Windowed scaling-exponent estimates over a long series.
 
 A window's result equals a standalone decompose + fit of that sub-series,
-yet each sample is decomposed about once, not once per window.  The series
-is cut into blocks where a window starts and where a window's whole steps
-end.  Each block is decomposed once.  A window is the run of blocks it
-covers plus a remnant shorter than one step, and its movement sizes are
-the sizes found inside those pieces together with the sizes from
-decomposing their top sequences, concatenated in time order.  This holds
-because a movement completed inside a piece stays completed in any longer
-series around it (the elder rule of 1-D persistence), and what a piece
-leaves open is exactly its top structure.  The merge is exact for sizes,
-not for pair identities: across a cut, the tied-minimum rule can change
-which minimum a pair reports.  The fit reads only sizes.
+yet each sample is decomposed once, not once per window.  The series is
+cut at every window's first sample and one past its last, so each window
+is a run of whole blocks, and each block is decomposed once.  A window's
+movement sizes are the sizes found inside its blocks together with the
+sizes from decomposing their top sequences, concatenated in time order.
+This holds because a movement completed inside a block stays completed in
+any longer series around it (the elder rule of 1-D persistence), and what
+a block leaves open is exactly its top structure.  The merge is exact for
+sizes, not for pair identities: across a cut, the tied-minimum rule can
+change which minimum a pair reports.  The fit reads only sizes.
 
-Cost: every sample once in its block, plus per window the remnant and
-the concatenated tops (a handful of values per block).  Each window's
-sizes are kept as a histogram, and every window is fitted in one
+Cost: every sample once in its block, plus per window the concatenated
+tops (a handful of values per block).  Every block's sizes are held at
+once, O(pairs) memory: about 8 bytes per pair found inside a block.  Each
+window's sizes are kept as a histogram, and every window is fitted in one
 fit_many call: the cutoff candidates of all windows share one lockstep
 likelihood search and one pruned KS pass, so the fit costs a few dozen
 array passes in all rather than per window, and its elementwise work is
@@ -25,6 +25,7 @@ are marked, not dropped, keeping the output grid regular.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 from .core import _INT64_MAX, _as_times, decompose
 from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
-from .spectrum import SizeHistogram, histogram
+from .spectrum import histogram
 
 __all__ = ["WEEK_NS", "DAY_NS", "RollingConfig", "RollingPoint", "rolling_fit"]
 
@@ -51,6 +52,11 @@ class RollingConfig:
     xmin_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("window", "step"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer number of nanoseconds") from None
         if self.step <= 0 or self.window <= 0:
             raise ValueError("window and step must be positive")
         if self.step > self.window:
@@ -109,9 +115,9 @@ def rolling_fit(
     earliest time that fits a whole window; samples on the boundary belong
     to the window.  A window whose movements cannot satisfy the fit's tail
     requirement yields status "insufficient_tail" and fit None.  Times
-    must be integers (TypeError) that never decrease (StreamOrderError); a
-    window that batch decompose rejects raises the same error its
-    standalone decompose raises.
+    must be integers (TypeError) that never decrease (StreamOrderError); if
+    batch decompose rejects a window, the earliest such window's standalone
+    decompose error is raised.
     """
     if cfg is None:
         cfg = RollingConfig()
@@ -127,44 +133,26 @@ def rolling_fit(
     if cfg.window > span:
         raise ValueError("window exceeds the series span")
 
-    step = cfg.step
-    n_windows = (span - cfg.window) // step + 1
-    q = cfg.window // step  # whole steps in a window
-    # Block edges, in steps from t0: each window start i and each i + q,
-    # where the window's whole steps end.  Block k runs from edge k to
-    # edge k + 1; the last edge only closes a block.
-    edges = np.union1d(np.arange(n_windows), np.arange(q, q + n_windows))
-    cuts = np.searchsorted(t, [t0 + e * step for e in edges.tolist()]).tolist()
-    first = np.searchsorted(edges, np.arange(n_windows)).tolist()
-    past = np.searchsorted(edges, np.arange(q, q + n_windows)).tolist()
-    blocks: dict[int, _Piece] = {}
-
-    ends: list[int] = []
-    windows: list[SizeHistogram] = []
-    for i in range(n_windows):
-        end = t0 + cfg.window + i * step
-        lo, mid = cuts[first[i]], cuts[past[i]]
-        hi = int(np.searchsorted(t, end, side="right"))
-        try:
-            pieces = []
-            for k in range(first[i], past[i]):
-                if cuts[k] == cuts[k + 1]:
-                    continue
-                if k not in blocks:
-                    blocks[k] = _piece(v[cuts[k] : cuts[k + 1]], t[cuts[k] : cuts[k + 1]])
-                pieces.append(blocks[k])
-            if hi > mid:
-                pieces.append(_piece(v[mid:hi], t[mid:hi]))
-            sizes = _merged_sizes(pieces)
-        except ValueError:
-            # A piece, the merge or the summed variation left int64, so the
-            # window does too.  Raise what its standalone decompose raises.
-            decompose(v[lo:hi], t[lo:hi])
-            raise
-        blocks.pop(first[i], None)  # later windows start past this block
-        ends.append(end)
-        # Held as a histogram: a few hundred distinct sizes, not every movement.
-        windows.append(histogram(sizes))
+    n_windows = (span - cfg.window) // cfg.step + 1
+    starts = [t0 + i * cfg.step for i in range(n_windows)]
+    ends = [start + cfg.window for start in starts]
+    lo = np.searchsorted(t, starts, side="left")
+    hi = np.searchsorted(t, ends, side="right")
+    # Cut at every window's first and one-past-last sample, so each window
+    # is a run of whole blocks; block k runs from cut k to cut k + 1.
+    cuts = np.union1d(lo, hi)
+    first = np.searchsorted(cuts, lo).tolist()
+    past = np.searchsorted(cuts, hi).tolist()
+    try:
+        pieces = [_piece(v[a:b], t[a:b]) for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
+        # Held as histograms: a few hundred distinct sizes, not every movement.
+        windows = [histogram(_merged_sizes(pieces[f:p])) for f, p in zip(first, past)]
+    except ValueError:
+        # A block, a merge or a summed variation left int64, so a window
+        # does too.  Raise what the earliest such window's decompose raises.
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            decompose(v[a:b], t[a:b])
+        raise
 
     fits = fit_many(windows, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
     return [

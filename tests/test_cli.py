@@ -12,6 +12,7 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from persistick import cli
 from persistick.cli import _parse_duration, _parse_xmin_range, main
@@ -481,6 +482,21 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "spectrum", "rolling"])
+    @pytest.mark.parametrize("prices", ["1.00 1.01 1.02", "1.03 1.06 1.00 1.07 1.02 1.05 1.04 1.08"])
+    def test_min_tail_below_two(self, tmp_path, capsys, command, prices):
+        # Bad input whether the file has no pairs to fit or two.
+        prices = prices.split()
+        src = tmp_path / "quotes.csv"
+        src.write_text("".join(f"{i},{p}\n" for i, p in enumerate(prices)))
+        geometry = ["--window", f"{len(prices) - 1}ns", "--step", "1ns"] if command == "rolling" else []
+        rc = run(
+            command, str(src), "--min-tail", "1", *geometry,
+            "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "error: min_tail must be at least 2" in capsys.readouterr().err
 
     def test_bad_tick(self, tmp_path, capsys):
         src = tmp_path / "quotes.csv"

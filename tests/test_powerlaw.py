@@ -375,6 +375,13 @@ class TestFitMany:
         with pytest.raises(ValueError, match="min_tail"):
             fit_many([[3, 4]], min_tail=1)
         assert fit_many([], min_tail=2) == []
+        # A bad min_tail raises the same error whatever the data.
+        for sets in ([], [[]], [[], [3, 4]], [[0, 5]]):
+            with pytest.raises(ValueError, match="min_tail must be at least 2"):
+                fit_many(sets, min_tail=1)
+            for s in sets:
+                with pytest.raises(ValueError, match="min_tail must be at least 2"):
+                    fit(s, min_tail=1)
 
     def test_earliest_of_tied_distances_wins_after_pruning(self, monkeypatch):
         # Sizes 1..40 once each: candidate s has s sizes below its cutoff.

@@ -64,6 +64,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             RollingConfig(window=WEEK_NS, step=2 * WEEK_NS)
 
+    def test_integer_geometry(self):
+        with pytest.raises(TypeError, match="window must be an integer"):
+            RollingConfig(window=10.0, step=2)
+        with pytest.raises(TypeError, match="step must be an integer"):
+            RollingConfig(window=10, step=2.5)
+        cfg = RollingConfig(window=np.int64(10), step=np.uint32(3))
+        assert (cfg.window, cfg.step) == (10, 3)
+        assert type(cfg.window) is int and type(cfg.step) is int
+
 
 class TestGrid:
     def test_window_count_and_spacing(self):
@@ -273,9 +282,12 @@ def _with_gaps(times: np.ndarray, at: list[int], gap: int) -> np.ndarray:
 
 
 class TestCost:
-    def test_each_sample_decomposed_about_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "window, step, n_windows", [(8_000, 1_000, 42), (5_000, 1_300, 35), (8_000, 3_000, 14)]
+    )
+    def test_each_sample_decomposed_about_once(self, monkeypatch, window, step, n_windows):
         times, values = gen_random_walk(50_000, seed=9, kind="gauss", dt=SECOND_NS)
-        cfg = RollingConfig(window=8_000 * SECOND_NS, step=1_000 * SECOND_NS)
+        cfg = RollingConfig(window=window * SECOND_NS, step=step * SECOND_NS)
         seen = []
 
         def counting_decompose(v, t=None):
@@ -284,9 +296,9 @@ class TestCost:
 
         monkeypatch.setattr(rolling, "decompose", counting_decompose)
         pts = rolling_fit(values, times, cfg)
-        assert len(pts) == 42
-        # Per window: 8 blocks of 1 000 samples, but only their tops and the
-        # one sample at the window end are decomposed again.
+        assert len(pts) == n_windows
+        # Each sample is decomposed once in its block; per window only the
+        # blocks' tops are decomposed again.
         assert sum(seen) < 1.3 * values.size
 
     def test_every_window_fitted_in_one_batch(self, monkeypatch):
@@ -362,8 +374,8 @@ class TestMatchesStandalone:
         assert {p.status for p in pts} == {"ok", "insufficient_tail"}
 
     def test_fewer_windows_than_steps_per_window(self):
-        # 6 windows of 100 steps: blocks are cut only at the window starts
-        # and at the ends of their whole steps.
+        # 6 windows of 100 steps: blocks are cut only at the window edges,
+        # so one block spans most of every window.
         times, values = gen_random_walk(10_500, seed=8, kind="gauss", dt=SECOND_NS // 100)
         self._check(values, times, RollingConfig(window=100 * SECOND_NS, step=SECOND_NS))
 
