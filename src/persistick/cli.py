@@ -9,6 +9,7 @@ for a fit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -19,16 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Kind, decompose
-from .ingest import (
-    CalendarError,
-    InstrumentSpec,
-    RollRule,
-    SpliceError,
-    TickParseError,
-    build_continuous,
-    parse_ticks,
-)
+from .core import decompose
+from .ingest import InstrumentSpec, RollRule, TickParseError, build_continuous, parse_ticks
 from .oracle import gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
 from .powerlaw import InsufficientTailError, fit, mle_count_exponent
 from .rolling import DAY_NS, WEEK_NS, RollingConfig, rolling_fit
@@ -87,10 +80,6 @@ def _load_series(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
     return ticks.times, ticks.values
 
 
-def _kind_name(kind: Kind) -> str:
-    return "min" if kind is Kind.MIN else "max"
-
-
 _PAIR_FIELDS = ("t_min", "v_min", "t_max", "v_max", "size")
 # One pair object as json.dumps(..., sort_keys=True, indent=2) lays it out
 # inside the document's "pairs" list, after the separator from the previous.
@@ -124,7 +113,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         rest = {
             "top": {
                 "extrema": [
-                    {"time": e.time, "value": e.value, "kind": _kind_name(e.kind)}
+                    {"time": e.time, "value": e.value, "kind": e.kind.name.lower()}
                     for e in dec.top.extrema
                 ],
                 "pending": (
@@ -150,17 +139,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _format_rows("%d,%d,%d,%d,%d\n", (t_min, v_min, t_max, v_max, size)),
     )
     top_rows = ["time,value,kind"]
-    top_rows += [f"{e.time},{e.value},{_kind_name(e.kind)}" for e in dec.top.extrema]
+    top_rows += [f"{e.time},{e.value},{e.kind.name.lower()}" for e in dec.top.extrema]
     if dec.top.pending is not None:
         top_rows.append(f"{dec.top.pending.time},{dec.top.pending.value},pending")
-    summary_rows = [
-        "pair_count,tv_total,tv_top",
-        f"{summary['pair_count']},{summary['tv_total']},{summary['tv_top']}",
-    ]
     _write_atomic(args.out, {
         "pairs.csv": pairs_text,
         "top.csv": "\n".join(top_rows) + "\n",
-        "summary.csv": "\n".join(summary_rows) + "\n",
+        "summary.csv": f"{','.join(summary)}\n{','.join(map(str, summary.values()))}\n",
     })
     return EXIT_OK
 
@@ -180,42 +165,26 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_doc(f) -> dict:
-    return {
-        "xmin": f.xmin,
-        "count_exponent": f.count_exponent,
-        "alpha": f.alpha,
-        "ks_distance": f.ks_distance,
-        "n_tail": f.n_tail,
-        "amplitude": f.amplitude,
-    }
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     t, v = _load_series(args)
-    dec = decompose(v, t)
-    f = fit(dec, min_tail=args.min_tail, xmin_range=args.xmin_range)
+    f = fit(decompose(v, t), min_tail=args.min_tail, xmin_range=args.xmin_range)
+    doc = dataclasses.asdict(f)
     if args.format == "json":
-        _write_atomic(
-            args.out, {"fit.json": json.dumps(_fit_doc(f), sort_keys=True, indent=2) + "\n"}
-        )
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        rows = [
-            "xmin,count_exponent,alpha,ks_distance,n_tail,amplitude",
-            f"{f.xmin},{f.count_exponent!r},{f.alpha!r},{f.ks_distance!r},{f.n_tail},{f.amplitude!r}",
-        ]
-        _write_atomic(args.out, {"fit.csv": "\n".join(rows) + "\n"})
+        text = f"{','.join(doc)}\n{','.join(map(repr, doc.values()))}\n"
+    _write_atomic(args.out, {f"fit.{args.format}": text})
     return EXIT_OK
 
 
 def cmd_rolling(args: argparse.Namespace) -> int:
-    t, v = _load_series(args)
     cfg = RollingConfig(
         window=args.window,
         step=args.step,
         min_tail=args.min_tail,
         xmin_range=args.xmin_range,
     )
+    t, v = _load_series(args)
     points = rolling_fit(v, t, cfg)
     rows = ["window_end,alpha,xmin,n_tail,status"]
     for p in points:
@@ -336,10 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continuous", help="splice contracts into a continuous series")
     p.add_argument("contracts", nargs="+", metavar="ID=FILE")
-    p.add_argument("--tick", required=True)
-    p.add_argument("--columns", default="time,bid,ask")
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--out", default=".")
+    add_io(p, with_input=False)
     p.add_argument("--calendar", required=True, help="file of contract_id,expiry_date")
     p.add_argument("--days-before-expiry", type=int, default=6, dest="days_before_expiry")
     p.add_argument(
@@ -361,9 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TickParseError, CalendarError, SpliceError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except InsufficientTailError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INSUFFICIENT

@@ -140,21 +140,17 @@ class Decomposition:
     give one block; a Decomposer snapshot shares the blocks its stream has
     already frozen.  PersistentPair objects are built only when .pairs is
     first read, so sizes(), pair_count and pair_columns() stay cheap.
+    tv_top is top.variation(); tv_total is the caller's own count, so
+    tv_total == tv_top + pair_variation() remains a check.
     """
 
     __slots__ = ("top", "tv_total", "tv_top", "_blocks", "_pairs", "_sizes")
 
-    def __init__(
-        self,
-        blocks: list[_Block],
-        top: TopStructure,
-        tv_total: int,
-        tv_top: int,
-    ) -> None:
+    def __init__(self, blocks: list[_Block], top: TopStructure, tv_total: int) -> None:
         self._blocks = blocks
         self.top = top
         self.tv_total = tv_total
-        self.tv_top = tv_top
+        self.tv_top = top.variation()
         self._pairs: list[PersistentPair] | None = None
         self._sizes: np.ndarray | None = None
 
@@ -323,19 +319,24 @@ class Decomposer:
         return PersistentPair(Extremum(tl, vl, Kind.MIN), Extremum(th, vh, Kind.MAX))
 
     def finish(self) -> Decomposition:
-        # The top of the stack is the extremum of the last turn, a minimum
-        # while rising; kinds alternate below it.
-        n = len(self._times)
-        kinds = (Kind.MIN, Kind.MAX) if self._dir > 0 else (Kind.MAX, Kind.MIN)
-        extrema = [
-            Extremum(t, v, kinds[(n - i - 1) % 2])
-            for i, (t, v) in enumerate(zip(self._times, self._values))
-        ]
         pending = None if self._held_v is None else Sample(self._held_t, self._held_v)
-        top = TopStructure(extrema, pending)
+        top = _top(self._times, self._values, self._dir > 0, pending)
         # The frozen blocks are shared; the open chunk is copied.
-        blocks = self._blocks + [_block(*self._cols)]
-        return Decomposition(blocks, top, self._tv_total, top.variation())
+        return Decomposition(self._blocks + [_block(*self._cols)], top, self._tv_total)
+
+
+def _top(times: list, values: list, rising: bool, pending: Sample | None) -> TopStructure:
+    """The top structure of a stack of alternating extrema (int lists) and the pending sample.
+
+    The top of the stack is the extremum of the last turn, a minimum while
+    the series is rising; kinds alternate below it.
+    """
+    n = len(times)
+    kinds = (Kind.MIN, Kind.MAX) if rising else (Kind.MAX, Kind.MIN)
+    extrema = [
+        Extremum(t, v, kinds[(n - i - 1) % 2]) for i, (t, v) in enumerate(zip(times, values))
+    ]
+    return TopStructure(extrema, pending)
 
 
 def decompose(
@@ -357,7 +358,7 @@ def decompose(
     if times is not None and np.asarray(times).size != n:
         raise ValueError("times and values length mismatch")
     if n == 0:
-        return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], None), 0, 0)
+        return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], None), 0)
     if v.dtype.kind not in "iu":
         raise TypeError("values must be integers (ticks)")
     lo, hi = int(v.min()), int(v.max())
@@ -383,7 +384,7 @@ def decompose(
         dv2 = np.diff(v2)
     if v2.size == 1:
         top = TopStructure([], Sample(int(t2[0]), int(v2[0])))
-        return Decomposition([(_NO_PAIRS,) * 4], top, 0, 0)
+        return Decomposition([(_NO_PAIRS,) * 4], top, 0)
 
     rising = dv2 > 0  # dv2 is never zero after the collapse
     turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
@@ -413,8 +414,7 @@ def decompose(
     stv: list[int] = []
     emit_lo = array("q")
     emit_hi = array("q")
-    d0 = 1 if ev[1] > ev[0] else -1
-    d = d0
+    d = 1 if ev[1] > ev[0] else -1
     prev = int(ev[0])
     block = 1 << 15
     for a in range(1, k, block):
@@ -448,13 +448,8 @@ def decompose(
                     del stv[-2:]
             d = -d
 
-    mn, mx = Kind.MIN, Kind.MAX
-    top_times = et[np.asarray(stk, dtype=np.intp)].tolist() if stk else []
-    extrema = [
-        Extremum(tt, vv, mn if (d0 if j % 2 == 0 else -d0) > 0 else mx)
-        for j, tt, vv in zip(stk, top_times, stv)
-    ]
-    top = TopStructure(extrema, Sample(int(et[-1]), int(ev[-1])))
+    top_times = et[np.asarray(stk, dtype=np.intp)].tolist()
+    top = _top(top_times, stv, bool(ev[-1] > ev[-2]), Sample(int(et[-1]), int(ev[-1])))
     il = np.asarray(emit_lo, dtype=np.intp)
     ih = np.asarray(emit_hi, dtype=np.intp)
-    return Decomposition([(et[il], ev[il], et[ih], ev[ih])], top, tv_total, top.variation())
+    return Decomposition([(et[il], ev[il], et[ih], ev[ih])], top, tv_total)

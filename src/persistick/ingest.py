@@ -397,28 +397,33 @@ class _TickReader:
             return "price is outside the int64 tick range"
         return t, ticks
 
-    def feed_rows(self, rows: Iterable[list[str]]) -> None:
-        """The per-row path: csv records, one Fraction computation each.
+    def feed_rows(self, reader: Iterator[list[str]]) -> None:
+        """The per-row path: a csv reader's records, one Fraction computation each.
 
-        A record csv cannot read (a field over csv.field_size_limit(), or a
-        bare carriage return inside a line of a stream not opened with
-        universal newlines) stops the parse at its line.
+        Each record is numbered by its first physical line, from the
+        reader's line_num, so a quoted field spanning lines shifts no later
+        number.  A record csv cannot read (a field over
+        csv.field_size_limit(), or a bare carriage return inside a line of
+        a stream not opened with universal newlines) stops the parse at its
+        line.
         """
+        base = self.lineno
         times = []
         values = []
         try:
-            for row in rows:
-                self.lineno += 1
+            for row in reader:
+                line = self.lineno + 1
+                self.lineno = base + reader.line_num
                 got = self._row(row)
                 if got is None:
                     continue
                 if isinstance(got, str):
-                    self.errors.append((self.lineno, got))
+                    self.errors.append((line, got))
                     continue
                 t, v = got
                 if self.last_t is not None and t < self.last_t:
                     raise TickParseError(
-                        [(self.lineno, f"timestamp decreases ({t} after {self.last_t})")]
+                        [(line, f"timestamp decreases ({t} after {self.last_t})")]
                     )
                 self.last_t = t
                 times.append(t)

@@ -72,7 +72,7 @@ def level_sweep_pairs(
 
     if len(rv) < 2:
         pending = Sample(rt[0], rv[0]) if rv else None
-        return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], pending), 0, 0)
+        return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], pending), 0)
 
     # Keep only turning points; the two endpoints always stay.
     ev: list[int] = [rv[0]]
@@ -155,7 +155,7 @@ def level_sweep_pairs(
     block = _block(
         [et[i] for i in lows], [ev[i] for i in lows], [et[i] for i in highs], [ev[i] for i in highs]
     )
-    return Decomposition([block], top, tv_total, top.variation())
+    return Decomposition([block], top, tv_total)
 
 
 def gen_random_walk(

@@ -335,14 +335,21 @@ def _grid_power_sum(lo: int, n: int, alpha: float) -> float:
     return _grid_power_sum(lo, half, alpha) + _grid_power_sum(lo + half, n - half, alpha)
 
 
+def _check_settings(min_tail: int, xmin_range: tuple[int, int] | None) -> None:
+    """ValueError unless min_tail is at least 2 and xmin_range, if given, has LO <= HI."""
+    if min_tail < 2:
+        raise ValueError("min_tail must be at least 2")
+    if xmin_range is not None and xmin_range[0] > xmin_range[1]:
+        raise ValueError(f"xmin_range {tuple(xmin_range)} has LO above HI")
+
+
 def _fit_sets(
     size_sets: Iterable[SizeHistogram | Decomposition | Iterable[int] | np.ndarray],
     min_tail: int,
     xmin_range: tuple[int, int] | None,
 ) -> list[PowerLawFit | InsufficientTailError]:
     """Fit every set, or say why a set has no cutoff candidate; see fit."""
-    if min_tail < 2:
-        raise ValueError("min_tail must be at least 2")
+    _check_settings(min_tail, xmin_range)
     out: list = []
     sets: list[_Candidates] = []
     for data in size_sets:
@@ -435,15 +442,15 @@ def fit(
 ) -> PowerLawFit:
     """Select the cutoff and exponent for a movement-size distribution.
 
-    Sizes must be at least 1 and min_tail at least 2 (ValueError otherwise,
-    min_tail checked before any size).  Every observed size
-    is a cutoff candidate, subject to the candidate tail holding at least
-    min_tail samples (and at least two distinct sizes) and to the optional
-    inclusive xmin_range.  Each candidate gets its own maximum-likelihood
-    exponent; the candidate with the smallest Kolmogorov-Smirnov distance
-    wins, earliest on ties.  The amplitude scales the spectrum law so the
-    model variation over the fitted range equals the empirical variation
-    of the tail.
+    Sizes must be at least 1, min_tail at least 2, and a given xmin_range
+    (LO, HI) must have LO <= HI; ValueError otherwise, with the settings
+    checked before any size.  Every observed size is a cutoff candidate,
+    subject to the candidate tail holding at least min_tail samples (and
+    at least two distinct sizes) and to the optional inclusive xmin_range.
+    Each candidate gets its own maximum-likelihood exponent; the candidate
+    with the smallest Kolmogorov-Smirnov distance wins, earliest on ties.
+    The amplitude scales the spectrum law so the model variation over the
+    fitted range equals the empirical variation of the tail.
     """
     (f,) = _fit_sets([data], min_tail, xmin_range)
     if isinstance(f, InsufficientTailError):

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import _INT64_MAX, _as_times, decompose
-from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, fit_many
+from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, _check_settings, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
 from .spectrum import histogram
 
@@ -44,7 +44,7 @@ WEEK_NS = 7 * DAY_NS
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Window geometry (nanoseconds) plus fit settings passed through."""
+    """Window geometry (nanoseconds) plus fit settings, both checked when built."""
 
     window: int = 8 * WEEK_NS
     step: int = 2 * WEEK_NS
@@ -61,6 +61,7 @@ class RollingConfig:
             raise ValueError("window and step must be positive")
         if self.step > self.window:
             raise ValueError("step must not exceed window")
+        _check_settings(self.min_tail, self.xmin_range)
 
 
 @dataclass(frozen=True)

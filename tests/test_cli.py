@@ -323,10 +323,20 @@ class TestFit:
         assert doc["ks_distance"] == f.ks_distance
         assert doc["n_tail"] == f.n_tail
         assert doc["amplitude"] == f.amplitude
+        want = {
+            "xmin": f.xmin,
+            "count_exponent": f.count_exponent,
+            "alpha": f.alpha,
+            "ks_distance": f.ks_distance,
+            "n_tail": f.n_tail,
+            "amplitude": f.amplitude,
+        }
+        text = (tmp_path / "fit.json").read_text()
+        assert text == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     def test_csv_format(self, tmp_path):
         src = tmp_path / "quotes.csv"
-        write_walk_csv(src, 30_000, seed=12)
+        v = write_walk_csv(src, 30_000, seed=12)
         rc = run(
             "fit", str(src), "--format", "csv",
             "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
@@ -335,6 +345,9 @@ class TestFit:
         lines = (tmp_path / "fit.csv").read_text().splitlines()
         assert lines[0] == "xmin,count_exponent,alpha,ks_distance,n_tail,amplitude"
         assert len(lines) == 2
+        f = fit(decompose(12345 + v, np.arange(v.size, dtype=np.int64) * 10**9))
+        cells = (f.xmin, f.count_exponent, f.alpha, f.ks_distance, f.n_tail, f.amplitude)
+        assert lines[1] == ",".join(map(repr, cells))
 
     def test_xmin_range_flag(self, tmp_path):
         src = tmp_path / "quotes.csv"
@@ -439,6 +452,22 @@ class TestContinuous:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_no_quote_after_the_roll(self, tmp_path, capsys):
+        r1 = 1709942400 * 10**9  # H24's roll, 2024-03-09T00:00:00Z
+        a, b = tmp_path / "h24.csv", tmp_path / "m24.csv"
+        a.write_text(f"{r1 - 10**9},1.00\n{r1},1.01\n")
+        b.write_text(f"{r1 - 10**9},1.00\n")  # nothing at or after the roll
+        cal = tmp_path / "calendar.csv"
+        cal.write_text("H24,2024-03-15\nM24,2024-06-21\n")
+        rc = run(
+            "continuous", f"H24={a}", f"M24={b}",
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "error: no splice reference: contract 'M24'" in capsys.readouterr().err
+        assert not (tmp_path / "continuous.csv").exists()
+
     def test_missing_calendar_entry(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
         src.write_text("0,1.00\n")
@@ -497,6 +526,31 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error: min_tail must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "spectrum", "rolling"])
+    def test_reversed_xmin_range(self, tmp_path, capsys, command):
+        src = tmp_path / "quotes.csv"
+        src.write_text("".join(f"{i},{p}\n" for i, p in enumerate([1.03, 1.06, 1.00, 1.07])))
+        geometry = ["--window", "3ns", "--step", "1ns"] if command == "rolling" else []
+        rc = run(
+            command, str(src), "--xmin-range", "10:5", *geometry,
+            "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "error: xmin_range (10, 5) has LO above HI" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+        assert not (tmp_path / "rolling.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--min-tail", "1"], ["--xmin-range", "9:2"]])
+    def test_rolling_checks_fit_settings_before_reading(self, tmp_path, capsys, flag):
+        rc = run(
+            "rolling", str(tmp_path / "nope.csv"), *flag,
+            "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "min_tail" in err or "xmin_range" in err
+        assert "nope.csv" not in err
 
     def test_bad_tick(self, tmp_path, capsys):
         src = tmp_path / "quotes.csv"

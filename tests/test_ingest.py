@@ -200,6 +200,22 @@ class TestParseErrors:
         assert [ln for ln, _ in ei.value.errors] == [2]
         assert "line 2: unreadable row" in str(ei.value)
 
+    @pytest.mark.parametrize("path", [parse_ticks, ingest._parse_ticks_by_row])
+    @pytest.mark.parametrize("source", ["universal", "translated", "lf", "list"])
+    @pytest.mark.parametrize("block_chars", [7, 3 << 20])
+    def test_line_numbers_are_physical_after_a_multiline_record(self, path, source, block_chars):
+        # The quoted price of the second record spans lines 2 and 3.
+        head = '0,1.00,1.02\n1,"1.00\n",1.02\n2,1.00,1.02\n'
+        cases = [
+            (head + "3,bad,1.02\n", (5, "bad price field")),
+            (head + "1,1.00,1.02\n", (5, "timestamp decreases (1 after 2)")),
+        ]
+        for text, want in cases:
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+                with pytest.raises(TickParseError) as ei:
+                    path(_SOURCES[source](text), InstrumentSpec("0.01"))
+            assert ei.value.errors == [want]
+
     def test_field_over_csv_limit_keeps_earlier_errors(self):
         stream = io.StringIO(f"0,junk,1.1\n1,1.0,1.1\n2,1.{'0' * 200_000},1.1\n", newline="")
         with pytest.raises(TickParseError) as ei:

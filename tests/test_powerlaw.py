@@ -195,6 +195,14 @@ class TestSizeChecks:
         with pytest.raises(InsufficientTailError, match="xmin_range"):
             fit(sizes, xmin_range=(top, top))
 
+    def test_reversed_range_is_a_settings_error(self):
+        # Not "no candidate in range": a range with LO > HI is never valid.
+        sizes = gen_discrete_powerlaw(2_000, 2.5, 2, seed=17)
+        with pytest.raises(ValueError, match=r"xmin_range \(10, 5\) has LO above HI") as info:
+            fit(sizes, xmin_range=(10, 5))
+        assert not isinstance(info.value, InsufficientTailError)
+        assert fit(sizes, xmin_range=(5, 5)).xmin == 5
+
     def test_short_tail_names_min_tail(self):
         with pytest.raises(InsufficientTailError, match="at least 50 tail samples") as info:
             fit([3, 4, 5, 6], xmin_range=(3, 6))
@@ -233,6 +241,17 @@ def size_multisets(draw) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)
 
 
+def _reversed(xmin_range) -> bool:
+    return xmin_range is not None and xmin_range[0] > xmin_range[1]
+
+
+def _assert_reversed_range_raises(fn, data, **kw):
+    """A range LO:HI with LO > HI is a settings error, raised whatever the data."""
+    with pytest.raises(ValueError, match=r"xmin_range \(\d+, \d+\) has LO above HI") as info:
+        fn(data, **kw)
+    assert not isinstance(info.value, InsufficientTailError)
+
+
 def _fit_or_error(fn, sizes, **kw):
     try:
         return fn(sizes, **kw)
@@ -250,6 +269,9 @@ class TestBitIdentity:
     )
     @settings(max_examples=300, deadline=None)
     def test_fit_equals_reference(self, sizes, min_tail, xmin_range):
+        if _reversed(xmin_range):
+            _assert_reversed_range_raises(fit, sizes, min_tail=min_tail, xmin_range=xmin_range)
+            return
         got = _fit_or_error(fit, sizes, min_tail=min_tail, xmin_range=xmin_range)
         want = _fit_or_error(reference.fit, sizes, min_tail=min_tail, xmin_range=xmin_range)
         assert got == want
@@ -365,6 +387,11 @@ class TestFitMany:
         with mock.patch.object(powerlaw, "_MAXFUN", maxfun or powerlaw._MAXFUN), mock.patch.object(
             powerlaw, "_KS_BLOCK", ks_block or powerlaw._KS_BLOCK
         ):
+            if _reversed(xmin_range):
+                _assert_reversed_range_raises(
+                    fit_many, sets, min_tail=min_tail, xmin_range=xmin_range
+                )
+                return
             got = fit_many(sets, min_tail=min_tail, xmin_range=xmin_range)
             want = [_fit_or_none(s, min_tail=min_tail, xmin_range=xmin_range) for s in sets]
         assert got == want
@@ -375,13 +402,15 @@ class TestFitMany:
         with pytest.raises(ValueError, match="min_tail"):
             fit_many([[3, 4]], min_tail=1)
         assert fit_many([], min_tail=2) == []
-        # A bad min_tail raises the same error whatever the data.
+        # A bad min_tail or a reversed xmin_range raises the same error whatever the data.
         for sets in ([], [[]], [[], [3, 4]], [[0, 5]]):
             with pytest.raises(ValueError, match="min_tail must be at least 2"):
                 fit_many(sets, min_tail=1)
+            _assert_reversed_range_raises(fit_many, sets, min_tail=2, xmin_range=(10, 5))
             for s in sets:
                 with pytest.raises(ValueError, match="min_tail must be at least 2"):
                     fit(s, min_tail=1)
+                _assert_reversed_range_raises(fit, s, min_tail=2, xmin_range=(10, 5))
 
     def test_earliest_of_tied_distances_wins_after_pruning(self, monkeypatch):
         # Sizes 1..40 once each: candidate s has s sizes below its cutoff.

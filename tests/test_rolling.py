@@ -73,6 +73,13 @@ class TestConfig:
         assert (cfg.window, cfg.step) == (10, 3)
         assert type(cfg.window) is int and type(cfg.step) is int
 
+    def test_fit_settings_checked_when_built(self):
+        with pytest.raises(ValueError, match="min_tail must be at least 2"):
+            RollingConfig(min_tail=1)
+        with pytest.raises(ValueError, match=r"xmin_range \(9, 2\) has LO above HI"):
+            RollingConfig(xmin_range=(9, 2))
+        assert RollingConfig(min_tail=2, xmin_range=(2, 2)).xmin_range == (2, 2)
+
 
 class TestGrid:
     def test_window_count_and_spacing(self):
