@@ -109,22 +109,37 @@ def _block(t_min: list, v_min: list, t_max: list, v_max: list) -> _Block:
     return tuple(np.array(c, dtype=object) for c in cols)
 
 
-def _as_int64(a: np.ndarray, what: str) -> np.ndarray:
-    """An array of ints (integer or object dtype) as int64, or ValueError if one leaves int64."""
+def _as_int64(data: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """data (an array, or a sequence of ints) as int64; TypeError unless all are integers.
+
+    ValueError if one leaves int64.  numpy reads a list holding an int beyond
+    int64 as float64 or object, so there each item decides via operator.index.
+    """
+    a = np.asarray(data)
     try:
-        if a.dtype.kind == "u" and a.size and int(a.max()) > _INT64_MAX:
+        if a.dtype.kind in "fO":
+            a = np.array([operator.index(x) for x in data], dtype=object)
+        elif a.dtype.kind not in "iu":
+            raise TypeError
+        elif a.dtype.kind == "u" and a.size and int(a.max()) > _INT64_MAX:
             raise OverflowError
         return a.astype(np.int64, copy=False)
+    except TypeError:
+        raise TypeError(f"{what} must be integers") from None
     except OverflowError:
-        raise ValueError(f"{what} is outside the int64 range") from None
+        raise ValueError(f"{what} must lie in the int64 range") from None
+
+
+def _exact_sum(a: np.ndarray) -> int:
+    """Sum of a non-negative integer array, exact: in int64 where a.size * max(a) fits."""
+    if a.dtype == np.int64 and a.size * int(a.max(initial=0)) <= _INT64_MAX:
+        return int(a.sum())
+    return sum(a.tolist())
 
 
 def _as_times(times: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Sample times as int64; TypeError unless integers, StreamOrderError if they decrease."""
-    t = np.asarray(times)
-    if t.dtype.kind not in "iu":
-        raise TypeError("times must be integers")
-    t = _as_int64(t, "a time")
+    """Sample times as int64 (see _as_int64); StreamOrderError if they decrease."""
+    t = _as_int64(times, "times")
     if bool(np.any(t[1:] < t[:-1])):
         raise StreamOrderError("sample times are not non-decreasing")
     return t
@@ -173,7 +188,7 @@ class Decomposition:
         Reading them does not build the PersistentPair list.  ValueError if
         a time or value leaves int64.
         """
-        return tuple(_as_int64(c, "a pair time or value") for c in self._columns())
+        return tuple(_as_int64(c, "pair times and values") for c in self._columns())
 
     @property
     def pair_count(self) -> int:
@@ -187,14 +202,11 @@ class Decomposition:
 
     def sizes(self) -> np.ndarray:
         """Movement sizes of all pairs as int64, in emission order; ValueError if one leaves int64."""
-        return _as_int64(self._size_column(), "a pair size")
+        return _as_int64(self._size_column(), "pair sizes")
 
     def pair_variation(self) -> int:
         """Total variation captured by the pairs: sum of 2 * size, exact."""
-        sizes = self._size_column()
-        if sizes.dtype == np.int64 and sizes.size * int(sizes.max(initial=0)) <= _INT64_MAX:
-            return 2 * int(sizes.sum())
-        return 2 * sum(sizes.tolist())
+        return 2 * _exact_sum(self._size_column())
 
     def __repr__(self) -> str:
         return (
@@ -348,40 +360,29 @@ def decompose(
     Equivalent to pushing every sample through a Decomposer and calling
     finish(), but the flat-run collapse and extremum detection are
     vectorised, which matters for million-sample inputs.  The arithmetic
-    is int64, so values must lie in the int64 range and both their spread
-    (max - min) and their total variation must fit in int64; other inputs
-    raise ValueError rather than wrap.  Values and times of a non-integer
-    dtype raise TypeError rather than truncate.
+    is int64, so values and times must lie in the int64 range, as arrays or
+    lists, and both the values' spread (max - min) and their total variation
+    must fit in int64; other inputs raise ValueError rather than wrap.  Items
+    that are not integers raise TypeError rather than truncate.
     """
-    v = np.asarray(values)
+    v = _as_int64(values, "values")
     n = v.size
-    if times is not None and np.asarray(times).size != n:
+    t = np.arange(n, dtype=np.int64) if times is None else _as_times(times)
+    if t.size != n:
         raise ValueError("times and values length mismatch")
     if n == 0:
         return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], None), 0)
-    if v.dtype.kind not in "iu":
-        raise TypeError("values must be integers (ticks)")
     lo, hi = int(v.min()), int(v.max())
-    if hi > _INT64_MAX:
-        raise ValueError(f"value {hi} is outside the int64 range")
     if hi - lo > _INT64_MAX:
         raise ValueError(f"values span {hi - lo}, more than int64 holds")
-    v = v.astype(np.int64, copy=False)
-    if times is None:
-        t = np.arange(n, dtype=np.int64)
-    else:
-        t = _as_times(times)
 
     dv = np.diff(v)
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.not_equal(dv, 0, out=keep[1:])
-    if bool(keep.all()):
-        v2, t2, dv2 = v, t, dv  # no flat runs: skip the compaction copies
-    else:
-        v2 = v[keep]
-        t2 = t[keep]
-        dv2 = np.diff(v2)
+    v2 = v[keep]
+    t2 = t[keep]
+    dv2 = np.diff(v2)
     if v2.size == 1:
         top = TopStructure([], Sample(int(t2[0]), int(v2[0])))
         return Decomposition([(_NO_PAIRS,) * 4], top, 0)
@@ -396,14 +397,10 @@ def decompose(
     del v, t, dv, keep, v2, t2, dv2, rising, turns, idx
     k = int(ev.size)
     # Monotone between consecutive extrema, so their differences carry the
-    # whole variation.  Each step fits in int64 (the spread does); the sum
-    # is taken in Python ints only when int64 could overflow.
-    if (k - 1) * (hi - lo) <= _INT64_MAX:
-        tv_total = int(np.abs(np.diff(ev)).sum())
-    else:
-        tv_total = sum(np.abs(np.diff(ev)).tolist())
-        if tv_total > _INT64_MAX:
-            raise ValueError(f"total variation {tv_total} is more than int64 holds")
+    # whole variation.  Each step fits in int64 (the spread does).
+    tv_total = _exact_sum(np.abs(np.diff(ev)))
+    if tv_total > _INT64_MAX:
+        raise ValueError(f"total variation {tv_total} is more than int64 holds")
 
     # The sweep below mirrors Decomposer.push but runs on bare ints: the
     # stack of extremum indices carries a mirrored value stack, and the

@@ -198,21 +198,25 @@ def _mle_exponents(xmin: np.ndarray, n: np.ndarray, log_sum: np.ndarray) -> np.n
     return best
 
 
-def mle_count_exponent(sizes: Sequence[int] | np.ndarray, xmin: int) -> float:
-    """Maximum-likelihood exponent of the count law for sizes >= xmin."""
+def _tail(sizes: Sequence[int] | np.ndarray, xmin: int) -> SizeHistogram:
+    """histogram(sizes), or ValueError unless it holds two or more sizes, all >= xmin >= 1."""
     h = histogram(sizes)
-    ms, cs = h.sizes, h.counts
-    if int(cs.sum()) < 2:
-        raise ValueError("need at least two sizes to estimate an exponent")
+    if h.total_pairs < 2:
+        raise ValueError("need at least two sizes")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")
-    if int(ms[0]) < xmin:
+    if int(h.sizes[0]) < xmin:
         raise ValueError("all sizes must be >= xmin")
-    if ms.size < 2:
+    return h
+
+
+def mle_count_exponent(sizes: Sequence[int] | np.ndarray, xmin: int) -> float:
+    """Maximum-likelihood exponent of the count law for sizes >= xmin."""
+    h = _tail(sizes, xmin)
+    if h.sizes.size < 2:
         raise ValueError("exponent is unidentifiable when all sizes are equal")
-    n = int(cs.sum())
-    log_sum = float(np.dot(cs, np.log(ms)))
-    return float(_mle_exponents([xmin], [n], [log_sum])[0])
+    log_sum = float(np.dot(h.counts, np.log(h.sizes)))
+    return float(_mle_exponents([xmin], [h.total_pairs], [log_sum])[0])
 
 
 def _ks_gaps(
@@ -301,14 +305,8 @@ def ks_distance(
     sizes: Sequence[int] | np.ndarray, xmin: int, exponent: float
 ) -> float:
     """Max gap between empirical and model tail CDFs at observed sizes."""
-    h = histogram(sizes)
+    h = _tail(sizes, xmin)
     ms, cs = h.sizes, h.counts
-    if int(cs.sum()) < 2:
-        raise ValueError("need at least two sizes to measure a distance")
-    if xmin < 1:
-        raise ValueError("xmin must be at least 1")
-    if int(ms[0]) < xmin:
-        raise ValueError("all sizes must be >= xmin")
     if exponent <= 1.0:
         raise ValueError("exponent must exceed 1")
     cum = np.concatenate(([0], np.cumsum(cs)))

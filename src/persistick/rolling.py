@@ -116,19 +116,18 @@ def rolling_fit(
     earliest time that fits a whole window; samples on the boundary belong
     to the window.  A window whose movements cannot satisfy the fit's tail
     requirement yields status "insufficient_tail" and fit None.  Times
-    must be integers (TypeError) that never decrease (StreamOrderError); if
-    batch decompose rejects a window, the earliest such window's standalone
-    decompose error is raised.
+    must be integers (TypeError) in the int64 range (ValueError) that never
+    decrease (StreamOrderError).  Values reach decompose as slices of the
+    caller's own sequence; if batch decompose rejects a window, the earliest
+    such window's standalone decompose error is raised.
     """
     if cfg is None:
         cfg = RollingConfig()
-    t = np.asarray(times)
-    v = np.asarray(values)
-    if t.size != v.size:
+    t = _as_times(times)
+    if t.size != len(values):
         raise ValueError("times and values length mismatch")
     if t.size == 0:
         raise ValueError("empty series")
-    t = _as_times(t)
     t0 = int(t[0])
     span = int(t[-1]) - t0
     if cfg.window > span:
@@ -145,14 +144,14 @@ def rolling_fit(
     first = np.searchsorted(cuts, lo).tolist()
     past = np.searchsorted(cuts, hi).tolist()
     try:
-        pieces = [_piece(v[a:b], t[a:b]) for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
+        pieces = [_piece(values[a:b], t[a:b]) for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
         # Held as histograms: a few hundred distinct sizes, not every movement.
         windows = [histogram(_merged_sizes(pieces[f:p])) for f, p in zip(first, past)]
     except ValueError:
         # A block, a merge or a summed variation left int64, so a window
         # does too.  Raise what the earliest such window's decompose raises.
         for a, b in zip(lo.tolist(), hi.tolist()):
-            decompose(v[a:b], t[a:b])
+            decompose(values[a:b], t[a:b])
         raise
 
     fits = fit_many(windows, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)

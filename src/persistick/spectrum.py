@@ -8,7 +8,6 @@ all sizes it reproduces tv_total - tv_top exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,19 +62,17 @@ def histogram(
 
     Accepts a Decomposition, an iterable of pairs or of integer sizes, or
     an integer array of sizes; a SizeHistogram is returned as it is.
-    Sizes outside int64 raise ValueError.
+    Sizes that are not integers raise TypeError, and sizes outside int64
+    ValueError.
     """
     if isinstance(data, SizeHistogram):
         return data
     if isinstance(data, Decomposition):
         sizes = data.sizes()
-    elif isinstance(data, np.ndarray):
-        if data.size and data.dtype.kind not in "iu":
-            raise TypeError("sizes must be integers")
-        sizes = _as_int64(data, "a size")
     else:
-        cells = [operator.index(p.size if isinstance(p, PersistentPair) else p) for p in data]
-        sizes = _as_int64(np.array(cells, dtype=object), "a size")
+        if not isinstance(data, np.ndarray):
+            data = [p.size if isinstance(p, PersistentPair) else p for p in data]
+        sizes = _as_int64(data, "sizes")
     uniq, counts = np.unique(sizes, return_counts=True)
     return SizeHistogram(uniq, counts.astype(np.int64, copy=False))
 

@@ -272,13 +272,14 @@ class TestSpectrum:
     def test_rows_and_no_fit(self, tmp_path):
         src = tmp_path / "quotes.csv"
         write_reference_csv(src)
-        rc = run(
-            "spectrum", str(src), "--no-fit",
-            "--tick", "0.0001", "--columns", "time,price", "--out", str(tmp_path),
-        )
-        assert rc == 0
-        assert (tmp_path / "spectrum.csv").read_text() == "m,n,S\n1,1,2\n5,1,10\n"
-        assert not (tmp_path / "fit_overlay.csv").exists()
+        for settings in ([], ["--min-tail", "1"], ["--xmin-range", "9:2"]):  # not read without a fit
+            rc = run(
+                "spectrum", str(src), "--no-fit", *settings,
+                "--tick", "0.0001", "--columns", "time,price", "--out", str(tmp_path),
+            )
+            assert rc == 0
+            assert (tmp_path / "spectrum.csv").read_text() == "m,n,S\n1,1,2\n5,1,10\n"
+            assert not (tmp_path / "fit_overlay.csv").exists()
 
     def test_fit_overlay_written(self, tmp_path):
         src = tmp_path / "quotes.csv"
@@ -468,6 +469,35 @@ class TestContinuous:
         assert "error: no splice reference: contract 'M24'" in capsys.readouterr().err
         assert not (tmp_path / "continuous.csv").exists()
 
+    def test_contract_error_names_the_file(self, tmp_path, capsys):
+        a, b = tmp_path / "h24.csv", tmp_path / "m24.csv"
+        a.write_text("0,1.00\n1,1.01\n")
+        b.write_text("0,1.00\n1,bad\n")
+        cal = tmp_path / "calendar.csv"
+        cal.write_text("H24,2024-03-15\nM24,2024-06-21\n")
+        rc = run(
+            "continuous", f"H24={a}", f"M24={b}",
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert f"error: {b}: line 2: bad price field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["M24", "M24,2024-06-32", b"M24,2024-06-2\xff"])
+    def test_calendar_error_names_the_file_and_line(self, tmp_path, capsys, line):
+        src = tmp_path / "h24.csv"
+        src.write_text("0,1.00\n")
+        cal = tmp_path / "calendar.csv"
+        line = line if isinstance(line, bytes) else line.encode()
+        cal.write_bytes(b"H24,2024-03-15\n" + line + b"\n")
+        rc = run(
+            "continuous", f"H24={src}",
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert f"error: {cal}: line 2: " in capsys.readouterr().err
+
     def test_missing_calendar_entry(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
         src.write_text("0,1.00\n")
@@ -504,6 +534,18 @@ class TestExitCodes:
         assert "error: line 2: unreadable row" in capsys.readouterr().err
         assert not (tmp_path / "pairs.csv").exists()
 
+    @pytest.mark.parametrize("row", [b"1,1.0\xff1", b"1\xff,1.01"])
+    def test_undecodable_byte_gives_its_line(self, tmp_path, capsys, row):
+        src = tmp_path / "quotes.csv"
+        src.write_bytes(b"0,1.00\n" + row + b"\n2,1.02\n")
+        rc = run(
+            "decompose", str(src),
+            "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "error: line 2: bad " in capsys.readouterr().err
+        assert not (tmp_path / "pairs.csv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = run(
             "decompose", str(tmp_path / "nope.csv"),
@@ -526,6 +568,7 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error: min_tail must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit", "spectrum", "rolling"])
     def test_reversed_xmin_range(self, tmp_path, capsys, command):
@@ -539,12 +582,14 @@ class TestExitCodes:
         assert rc == 2
         assert "error: xmin_range (10, 5) has LO above HI" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+        assert not (tmp_path / "spectrum.csv").exists()
         assert not (tmp_path / "rolling.csv").exists()
 
+    @pytest.mark.parametrize("command", ["rolling", "fit", "spectrum"])
     @pytest.mark.parametrize("flag", [["--min-tail", "1"], ["--xmin-range", "9:2"]])
-    def test_rolling_checks_fit_settings_before_reading(self, tmp_path, capsys, flag):
+    def test_rolling_checks_fit_settings_before_reading(self, tmp_path, capsys, flag, command):
         rc = run(
-            "rolling", str(tmp_path / "nope.csv"), *flag,
+            command, str(tmp_path / "nope.csv"), *flag,
             "--tick", "0.01", "--columns", "time,price", "--out", str(tmp_path),
         )
         assert rc == 2
@@ -570,3 +615,10 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "oracle equivalence: ok (40 walks)" in out
         assert "fit recovery: ok" in out
+
+    def test_compares_pair_times(self, capsys, monkeypatch):
+        # Same pair values, top values and variations; every time one later.
+        sweep = cli.level_sweep_pairs
+        monkeypatch.setattr(cli, "level_sweep_pairs", lambda v, t: sweep(v, [x + 1 for x in t]))
+        assert run("selftest") == 1
+        assert "oracle equivalence: FAIL" in capsys.readouterr().out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,11 +134,17 @@ class TestBatchDecompose:
     def test_rejects_float_values(self):
         with pytest.raises(TypeError):
             decompose(np.array([1.0, 2.0]))
+        # numpy reads each of these lists as float64 or object; the items decide.
+        for values in ([1, 2.5], [1, Fraction(3, 2)], [2**63, 0.5], [2**64, 1.0]):
+            with pytest.raises(TypeError, match="must be integers"):
+                decompose(values)
 
     def test_rejects_float_times(self):
         # Truncated, these would put both top extrema at time 0.
         with pytest.raises(TypeError, match="times must be integers"):
             decompose([5, 1, 4, 2, 6], [0.2, 0.9, 1.5, 1.99, 3.7])
+        with pytest.raises(TypeError, match="times must be integers"):
+            decompose([5, 1], [0, Fraction(1, 2)])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -149,6 +156,12 @@ class TestBatchDecompose:
         with pytest.raises(ValueError, match="int64 range"):
             decompose([1, 3, 2, 5], times)
         assert stream_decompose([1, 3, 2, 5], times.tolist()).top.pending.time == 2**63 + 4
+        # Lists beyond int64 too, which numpy reads as float64 or object.
+        for beyond in ([1, 2**63], [1, 2**64], [-(2**63) - 1, 0]):
+            with pytest.raises(ValueError, match="int64 range"):
+                decompose(beyond)
+            with pytest.raises(ValueError, match="int64 range"):
+                decompose([1, 3], beyond)
         small = np.array([0, 1, 2, 2**63 - 1], dtype=np.uint64)
         want = stream_decompose([1, 3, 2, 5], small.tolist())
         assert_same_decomposition(decompose([1, 3, 2, 5], small), want)

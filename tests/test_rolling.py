@@ -18,15 +18,18 @@ SECOND_NS = 10**9
 
 
 def standalone(values, times, cfg: RollingConfig) -> list[RollingPoint]:
-    """Reference: every window decomposed and fitted on its own."""
-    values, times = np.asarray(values), np.asarray(times)
+    """Reference: every window decomposed and fitted on its own, from its own items."""
+    times = np.asarray(times)
     t0 = int(times[0])
     n_windows = (int(times[-1]) - t0 - cfg.window) // cfg.step + 1
     out = []
     for i in range(n_windows):
         end = t0 + cfg.window + i * cfg.step
         mask = (times >= end - cfg.window) & (times <= end)
-        dec = decompose(values[mask], times[mask])
+        if isinstance(values, np.ndarray):
+            dec = decompose(values[mask], times[mask])
+        else:
+            dec = decompose([values[i] for i in np.flatnonzero(mask)], times[mask])
         try:
             f = fit(dec, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
         except InsufficientTailError:
@@ -207,6 +210,8 @@ class TestErrors:
         # Cast to int64 these would wrap to negative window ends.
         with pytest.raises(ValueError, match="int64 range"):
             rolling_fit(values, times.astype(np.uint64) + np.uint64(2**63), cfg)
+        with pytest.raises(ValueError, match="int64 range"):  # a list numpy reads as float64
+            rolling_fit(values, [0] + [x + 2**63 for x in times[1:].tolist()], cfg)
         points = rolling_fit(values, times.astype(np.uint64), cfg)
         assert points == rolling_fit(values, times, cfg)
 
@@ -231,14 +236,17 @@ class TestErrors:
         # every block and the joined tops fit; the window's pairs overflow
         "variation": np.array([0, H, 1, H + 1] * 6, dtype=np.int64),
         "float": np.arange(24, dtype=np.float64),
+        # a list numpy reads as object, and some of its blocks as float64 or int64
+        "list": [1, 2, 2**63 + 5, 3, 1, 2**64, 0, 4, 2, 1, 3, -(2**63) - 1] * 2,
     }
 
     @pytest.mark.parametrize("case", sorted(_BEYOND_INT64))
     def test_window_errors_match_standalone(self, case):
         values = self._BEYOND_INT64[case]
-        times = np.arange(values.size, dtype=np.int64) * SECOND_NS
+        times = np.arange(len(values), dtype=np.int64) * SECOND_NS
         cfg = RollingConfig(window=12 * SECOND_NS, step=4 * SECOND_NS)
         want = standalone_error(values, times, cfg)
+        assert isinstance(want, TypeError if case == "float" else ValueError)
         with pytest.raises(type(want)) as info:
             rolling_fit(values, times, cfg)
         assert type(info.value) is type(want)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,9 @@ class TestHistogram:
         assert histogram(np.array([2, 2, 4])).entries == {2: 2, 4: 1}
         with pytest.raises(TypeError):
             histogram(np.array([2.0, 4.0]))
+        for sizes in ([2, 4.0], [2, Fraction(4)], [2**63, 0.5]):
+            with pytest.raises(TypeError, match="must be integers"):
+                histogram(sizes)
 
     def test_rejects_uint64_sizes_beyond_int64(self):
         with pytest.raises(ValueError, match="int64 range"):
