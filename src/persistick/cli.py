@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import decompose
-from .ingest import InstrumentSpec, RollRule, TickParseError, build_continuous, parse_ticks
+from .ingest import CalendarError, InstrumentSpec, RollRule, build_continuous, parse_ticks
 from .oracle import decomposition_digest, gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
 from .powerlaw import InsufficientTailError, _check_settings, fit, mle_count_exponent
 from .rolling import DAY_NS, WEEK_NS, RollingConfig, rolling_fit
@@ -217,16 +217,19 @@ def cmd_continuous(args: argparse.Namespace) -> int:
                 calendar.append((cid.strip(), date.fromisoformat(expiry.strip())))
             except ValueError as e:
                 raise ValueError(f"{args.calendar}: line {ln}: {e}") from None
-    rule = RollRule(
-        calendar,
-        days_before_expiry=args.days_before_expiry,
-        eligible_months=args.months,
-    )
+    try:
+        rule = RollRule(
+            calendar,
+            days_before_expiry=args.days_before_expiry,
+            eligible_months=args.months,
+        )
+    except CalendarError as e:
+        raise CalendarError(f"{args.calendar}: {e}") from None
     series = []
     for item in args.contracts:
         cid, _, path = item.partition("=")
         if not path:
-            raise TickParseError([(0, f"contract argument {item!r} must be ID=FILE")])
+            raise ValueError(f"contract argument {item!r} must be ID=FILE")
         with open(path, **_TEXT) as f:
             try:
                 ticks = parse_ticks(f, spec, columns=args.columns, delimiter=args.delimiter)

@@ -450,3 +450,147 @@ def decompose(
     il = np.asarray(emit_lo, dtype=np.intp)
     ih = np.asarray(emit_hi, dtype=np.intp)
     return Decomposition([(et[il], ev[il], et[ih], ev[ih])], top, tv_total)
+
+
+class _Peeled(NamedTuple):
+    """What _peel finds in each segment, grouped by segment.
+
+    Segment k's sizes are sizes[size_cuts[k]:size_cuts[k + 1]] (in no
+    particular order) and its top values tops[top_cuts[k]:top_cuts[k + 1]]
+    (in time order, the last one the pending value).  tv_total and tv_top
+    are exact Python ints, one per segment.
+    """
+
+    sizes: np.ndarray
+    size_cuts: np.ndarray
+    tops: np.ndarray
+    top_cuts: np.ndarray
+    tv_total: list[int]
+    tv_top: list[int]
+
+
+# Peeling rounds before the segments still reducible go to decompose.  A
+# random walk needs about a dozen; a spiral needs one per swing.
+_PEEL_ROUNDS = 48
+
+
+def _segment_sums(x: np.ndarray, cuts: np.ndarray) -> list[int]:
+    """Exact sums of the non-negative int64 x over each [cuts[k], cuts[k + 1])."""
+    if x.size * int(x.max(initial=0)) <= _INT64_MAX:
+        c = np.concatenate(([0], np.cumsum(x)))
+        return (c[cuts[1:]] - c[cuts[:-1]]).tolist()
+    return [_exact_sum(x[a:b]) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+
+
+def _peel(values: np.ndarray, starts: np.ndarray) -> _Peeled:
+    """decompose's sizes, top values and variations for each segment of an int64 series.
+
+    Segment k is values[starts[k]:starts[k + 1]], the last one running to
+    the end; starts[0] is 0, starts never decrease, and segments may be
+    empty.  ValueError where decompose of a segment would raise one: its
+    spread or its total variation leaves int64.
+
+    The four-point rainflow rule (ASTM E1049-85) without a stack: between
+    consecutive extrema, a swing no larger than either neighbour closes a
+    movement of its size, and removing its two extrema joins the three
+    swings into one.  Each round removes every such swing at once; in a
+    run of equal swings it takes every other one, so no two removals
+    touch.  A segment's first and last swings, whose neighbour lies across
+    a join, are never removed.  The sizes found and the swings left do not
+    depend on the order of removal, so after _PEEL_ROUNDS rounds the
+    segments still reducible are finished by decompose.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    full = np.diff(starts, append=values.size) > 0
+    # Work on the non-empty segments; segment k is the full_before[k]-th of them.
+    full_before = np.concatenate(([0], np.cumsum(full)))
+    first = np.zeros(values.size, dtype=bool)
+    first[starts[full]] = True
+
+    # Collapse flat runs; p holds where each segment starts.
+    keep = first.copy()
+    keep[1:] |= values[1:] != values[:-1]
+    f = values[keep]
+    first = first[keep]
+    p = np.flatnonzero(first)
+    hi = np.maximum.reduceat(f, p)
+    lo = np.minimum.reduceat(f, p)
+    wide = np.flatnonzero(hi - lo < 0)  # a spread beyond int64 wraps negative
+    if wide.size:
+        k = wide[0]
+        raise ValueError(f"values span {int(hi[k]) - int(lo[k])}, more than int64 holds")
+    # Keep the turning points and every segment's first and last sample.
+    # A difference across a join may wrap; it decides only those kept ones.
+    rising = f[1:] > f[:-1]
+    keep = np.ones(f.size, dtype=bool)
+    np.not_equal(rising[1:], rising[:-1], out=keep[1:-1])
+    keep[p] = True
+    keep[p[1:] - 1] = True
+    e = f[keep]
+    p = np.flatnonzero(first[keep])
+    del keep, f, first, rising
+
+    def cuts() -> np.ndarray:
+        return np.append(p, e.size)[full_before]
+
+    def swings() -> np.ndarray:
+        """|e[i + 1] - e[i]|, 0 at each join: a wrapped difference is masked, never summed."""
+        a = np.abs(np.diff(e))
+        a[p[1:] - 1] = 0
+        return a
+
+    a = swings()
+    tv_total = _segment_sums(np.append(a, 0), cuts())
+    over = [tv for tv in tv_total if tv > _INT64_MAX]
+    if over:
+        raise ValueError(f"total variation {over[0]} is more than int64 holds")
+
+    sizes, size_seg = [], []
+    for peeled in range(_PEEL_ROUNDS + 1):
+        joins = p[1:] - 1
+        a[joins] = -1  # no swing beside a join is at most its neighbours
+        mid = a[1:-1]
+        closed = mid <= a[:-2]
+        closed &= mid <= a[2:]
+        closed[joins[(joins >= 1) & (joins <= closed.size)] - 1] = False
+        run = closed[1:] & closed[:-1]
+        if run.any():
+            # Equal swings side by side: take the 1st, 3rd, ... of each run.
+            i = np.arange(closed.size)
+            begin = np.maximum.accumulate(np.where(closed & ~np.r_[False, run], i, 0))
+            closed &= (i - begin) % 2 == 0
+        j = np.flatnonzero(closed) + 1
+        if not j.size:
+            break
+        seg_j = np.searchsorted(p, j, side="right") - 1
+        if peeled == _PEEL_ROUNDS:
+            # Finish the segments still reducible with the stack automaton.
+            pieces = np.split(e, p[1:])
+            for k in np.unique(seg_j).tolist():
+                dec = decompose(pieces[k])
+                sizes.append(dec.sizes())
+                size_seg.append(np.full(dec.pair_count, k))
+                pieces[k] = np.array(dec.top.values(), dtype=np.int64)
+            e = np.concatenate(pieces)
+            p = np.cumsum([0] + [x.size for x in pieces[:-1]])
+            break
+        sizes.append(a[j])
+        size_seg.append(seg_j)
+        keep = np.ones(e.size, dtype=bool)
+        keep[j] = False
+        keep[j + 1] = False
+        e = e[keep]
+        p -= 2 * np.searchsorted(j, p)
+        a = np.abs(np.diff(e))
+
+    size_seg = np.concatenate(size_seg) if size_seg else np.zeros(0, dtype=np.intp)
+    order = np.argsort(size_seg, kind="stable")
+    top_cuts = cuts()
+    return _Peeled(
+        np.concatenate(sizes)[order] if sizes else _NO_PAIRS,
+        np.searchsorted(size_seg[order], np.arange(full_before[-1] + 1))[full_before],
+        e,
+        top_cuts,
+        tv_total,
+        _segment_sums(np.append(swings(), 0), top_cuts),
+    )

@@ -1,37 +1,44 @@
 """Windowed scaling-exponent estimates over a long series.
 
 A window's result equals a standalone decompose + fit of that sub-series,
-yet each sample is decomposed once, not once per window.  The series is
-cut at every window's first sample and one past its last, so each window
-is a run of whole blocks, and each block is decomposed once.  A window's
-movement sizes are the sizes found inside its blocks together with the
-sizes from decomposing their top sequences, concatenated in time order.
-This holds because a movement completed inside a block stays completed in
-any longer series around it (the elder rule of 1-D persistence), and what
-a block leaves open is exactly its top structure.  The merge is exact for
-sizes, not for pair identities: across a cut, the tied-minimum rule can
-change which minimum a pair reports.  The fit reads only sizes.
+yet each sample is peeled once, not once per window.  The series is cut
+at every window's first sample and one past its last, so each window is a
+run of whole blocks.  A window's movement sizes are the sizes found inside
+its blocks together with the sizes from peeling their joined top
+sequences.  This holds because a movement completed inside a block stays
+completed in any longer series around it (the elder rule of 1-D
+persistence), and what a block leaves open is exactly its top structure.
+The merge is exact for sizes, not for pair identities: across a cut, the
+tied-minimum rule can change which minimum a pair reports.  The fit reads
+only sizes.
 
-Cost: every sample once in its block, plus per window the concatenated
-tops (a handful of values per block).  Every block's sizes are held at
-once, O(pairs) memory: about 8 bytes per pair found inside a block.  Each
-window's sizes are kept as a histogram, and every window is fitted in one
-fit_many call: the cutoff candidates of all windows share one lockstep
-likelihood search and one pruned KS pass, so the fit costs a few dozen
-array passes in all rather than per window, and its elementwise work is
-set by the windows' distinct sizes.  Windows that cannot support a fit
-are marked, not dropped, keeping the output grid regular.
+Cost: two calls of core._peel, the vectorised four-point rainflow rule,
+each a dozen or so array rounds with no per-extremum Python loop: one
+over the series with every block as a segment, one over the joined tops
+(a handful of values per block) with every window as a segment.  A
+segment still reducible after the round cap is finished by decompose,
+which is exact because the sizes do not depend on the order of
+extraction; a random walk never gets there.  Every block's sizes are held
+at once, O(pairs) memory: about 8 bytes per pair found inside a block.
+Each window's sizes are built and reduced to a histogram one window at a
+time, and every window is fitted in one fit_many call: the cutoff
+candidates of all windows share one lockstep likelihood search and one
+pruned KS pass, so the fit costs a few dozen array passes in all rather
+than per window, and its elementwise work is set by the windows' distinct
+sizes.  Windows that cannot support a fit are marked, not dropped,
+keeping the output grid regular.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, _as_times, decompose
+from .core import _INT64_MAX, _as_int64, _as_times, _peel, decompose
 from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, _check_settings, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
 from .spectrum import histogram
@@ -72,39 +79,6 @@ class RollingPoint:
     status: str = field(default="ok")
 
 
-class _Piece(NamedTuple):
-    """What a window needs of one decomposed stretch of the series."""
-
-    sizes: np.ndarray
-    top_times: list[int]
-    top_values: list[int]
-    pair_variation: int
-
-
-def _piece(values: np.ndarray, times: np.ndarray) -> _Piece:
-    """Decompose a non-empty stretch of the series."""
-    dec = decompose(values, times)
-    top = dec.top
-    return _Piece(
-        dec.sizes(),
-        [e.time for e in top.extrema] + [top.pending.time],
-        [e.value for e in top.extrema] + [top.pending.value],
-        dec.tv_total - dec.tv_top,
-    )
-
-
-def _merged_sizes(pieces: list[_Piece]) -> np.ndarray:
-    """Movement sizes of the series that the consecutive pieces make up."""
-    merged = decompose(
-        np.array([x for p in pieces for x in p.top_values], dtype=np.int64),
-        np.array([x for p in pieces for x in p.top_times], dtype=np.int64),
-    )
-    tv_total = merged.tv_total + sum(p.pair_variation for p in pieces)
-    if tv_total > _INT64_MAX:
-        raise ValueError(f"total variation {tv_total} is more than int64 holds")
-    return np.concatenate([p.sizes for p in pieces] + [merged.sizes()])
-
-
 def rolling_fit(
     values: Sequence[int] | np.ndarray,
     times: Sequence[int] | np.ndarray,
@@ -117,9 +91,9 @@ def rolling_fit(
     to the window.  A window whose movements cannot satisfy the fit's tail
     requirement yields status "insufficient_tail" and fit None.  Times
     must be integers (TypeError) in the int64 range (ValueError) that never
-    decrease (StreamOrderError).  Values reach decompose as slices of the
-    caller's own sequence; if batch decompose rejects a window, the earliest
-    such window's standalone decompose error is raised.
+    decrease (StreamOrderError).  Each block's values meet the integer gate
+    as a slice of the caller's own sequence; if batch decompose rejects a
+    window, the earliest such window's standalone decompose error is raised.
     """
     if cfg is None:
         cfg = RollingConfig()
@@ -141,19 +115,38 @@ def rolling_fit(
     # Cut at every window's first and one-past-last sample, so each window
     # is a run of whole blocks; block k runs from cut k to cut k + 1.
     cuts = np.union1d(lo, hi)
-    first = np.searchsorted(cuts, lo).tolist()
-    past = np.searchsorted(cuts, hi).tolist()
+    first = np.searchsorted(cuts, lo)
+    past = np.searchsorted(cuts, hi)
     try:
-        pieces = [_piece(values[a:b], t[a:b]) for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
-        # Held as histograms: a few hundred distinct sizes, not every movement.
-        windows = [histogram(_merged_sizes(pieces[f:p])) for f, p in zip(first, past)]
+        # Each block meets the integer gate with the caller's own items.
+        blocks = _peel(
+            np.concatenate([_as_int64(values[a:b], "values") for a, b in zip(cuts[:-1], cuts[1:])]),
+            cuts[:-1] - cuts[0],
+        )
+        tc = blocks.top_cuts
+        joined = [blocks.tops[a:b] for a, b in zip(tc[first], tc[past])]
+        merges = _peel(np.concatenate(joined), np.cumsum([0] + [j.size for j in joined[:-1]]))
+        # A window's variation is its joined tops' plus what its blocks' pairs carry.
+        paired = [0, *accumulate(a - b for a, b in zip(blocks.tv_total, blocks.tv_top))]
+        for w, (f, p) in enumerate(zip(first.tolist(), past.tolist())):
+            tv_total = merges.tv_total[w] + paired[p] - paired[f]
+            if tv_total > _INT64_MAX:
+                raise ValueError(f"total variation {tv_total} is more than int64 holds")
     except ValueError:
-        # A block, a merge or a summed variation left int64, so a window
-        # does too.  Raise what the earliest such window's decompose raises.
+        # A block, a window's tops or its summed variation left int64, so
+        # the window does too.  Raise what the earliest such window's
+        # decompose raises.
         for a, b in zip(lo.tolist(), hi.tolist()):
             decompose(values[a:b], t[a:b])
         raise
 
+    # A window's sizes are its blocks' sizes plus those from joining their
+    # tops, built and reduced to a histogram one window at a time.
+    sc, mc = blocks.size_cuts, merges.size_cuts
+    windows = [
+        histogram(np.concatenate((blocks.sizes[sc[f] : sc[p]], merges.sizes[mc[w] : mc[w + 1]])))
+        for w, (f, p) in enumerate(zip(first, past))
+    ]
     fits = fit_many(windows, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)
     return [
         RollingPoint(end, f, h.total_pairs, "insufficient_tail" if f is None else "ok")

@@ -451,7 +451,7 @@ class TestContinuous:
             "--tick", "0.01", "--calendar", str(cal), "--out", str(tmp_path),
         )
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: contract argument 'H24-no-equals-sign' must be ID=FILE\n"
 
     def test_no_quote_after_the_roll(self, tmp_path, capsys):
         r1 = 1709942400 * 10**9  # H24's roll, 2024-03-09T00:00:00Z
@@ -497,6 +497,27 @@ class TestContinuous:
         )
         assert rc == 2
         assert f"error: {cal}: line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("M24,2024-06-21\nH24,2024-03-15\n", "calendar must be sorted by expiry date"),
+            ("H24,2024-03-15\nH24,2024-06-21\n", "contract 'H24' appears twice in the roll calendar"),
+        ],
+        ids=["unsorted", "repeated"],
+    )
+    def test_calendar_order_error_names_the_file(self, tmp_path, capsys, rows, message):
+        src = tmp_path / "h24.csv"
+        src.write_text("0,1.00\n")
+        cal = tmp_path / "calendar.csv"
+        cal.write_text(rows)
+        rc = run(
+            "continuous", f"H24={src}",
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cal}: {message}\n"
 
     def test_missing_calendar_entry(self, tmp_path, capsys):
         src = tmp_path / "x.csv"

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistick import core
 from persistick.core import (
+    _PEEL_ROUNDS,
     Decomposer,
     Extremum,
     Kind,
@@ -17,6 +19,7 @@ from persistick.core import (
     Sample,
     StreamOrderError,
     TopStructure,
+    _peel,
     decompose,
     total_variation,
 )
@@ -536,3 +539,74 @@ class TestFullInt64Range:
             dec = stream_decompose(values)
             assert dec.pair_variation() == level_sweep_pairs(values).pair_variation()
             assert_conserved(dec)
+
+
+@st.composite
+def _segmented(draw) -> tuple[np.ndarray, list[int]]:
+    """int64 values (ties and plateaus, small or over the full range) and segment starts.
+
+    Repeated cuts make empty segments, and cuts one apart one-sample ones.
+    """
+    if draw(st.booleans()):
+        values, _ = draw(_int64_series())
+    else:
+        hi = draw(st.sampled_from([1, 2, 4, 9]))
+        values = draw(st.lists(st.integers(0, hi), max_size=80))
+    cuts = draw(st.lists(st.integers(0, len(values)), max_size=8))
+    return np.array(values, dtype=np.int64), [0, *sorted(cuts)]
+
+
+def _assert_peel_equals_decompose(values: np.ndarray, starts: list[int]) -> None:
+    """Each segment's sizes, top values and variations, as decompose finds them alone."""
+    peeled = _peel(values, np.array(starts))
+    for k, (a, b) in enumerate(zip(starts, [*starts[1:], values.size])):
+        dec = decompose(values[a:b])
+        sizes = peeled.sizes[peeled.size_cuts[k] : peeled.size_cuts[k + 1]]
+        assert sorted(sizes.tolist()) == sorted(dec.sizes().tolist())
+        assert peeled.tops[peeled.top_cuts[k] : peeled.top_cuts[k + 1]].tolist() == dec.top.values()
+        assert peeled.tv_total[k] == dec.tv_total
+        assert peeled.tv_top[k] == dec.tv_top
+        assert peeled.tv_total[k] - peeled.tv_top[k] == dec.pair_variation()
+
+
+class TestPeel:
+    """_peel equals decompose on every segment, or raises where one of them does."""
+
+    @given(_segmented())
+    @settings(max_examples=400, deadline=None)
+    def test_each_segment_equals_decompose(self, case):
+        values, starts = case
+        try:
+            for a, b in zip(starts, [*starts[1:], values.size]):
+                decompose(values[a:b])
+        except ValueError as e:
+            assert "int64" in str(e)
+            with pytest.raises(ValueError, match="more than int64 holds"):
+                _peel(values, np.array(starts))
+        else:
+            _assert_peel_equals_decompose(values, starts)
+
+    def test_spiral_hits_the_round_cap(self, monkeypatch):
+        # Swings shrink by one towards the middle, then one large move closes
+        # the spiral: each round can remove only the innermost swing.
+        m = 10_000
+        spiral = np.empty(2 * m + 1, dtype=np.int64)
+        spiral[0:-1:2] = np.arange(m)
+        spiral[1:-1:2] = 2 * m - np.arange(m)
+        spiral[-1] = 10 * m
+        _, walk = gen_random_walk(3_000, seed=2, kind="gauss")
+        values = np.concatenate([walk, spiral, walk[:1], spiral[::-1]])
+        starts = [0, walk.size, walk.size, values.size - spiral.size - 1, values.size - spiral.size]
+        assert decompose(spiral).pair_count > _PEEL_ROUNDS
+        finished = []
+
+        def counting_decompose(v, t=None):
+            finished.append(len(v))
+            return decompose(v, t)
+
+        monkeypatch.setattr(core, "decompose", counting_decompose)
+        _assert_peel_equals_decompose(values, starts)
+        # Only the two spirals are left reducible after the capped rounds,
+        # each short of about one swing per round.
+        assert len(finished) == 2
+        assert min(finished) >= spiral.size - 2 * _PEEL_ROUNDS - 1

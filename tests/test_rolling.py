@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference_powerlaw as reference
 from persistick.core import StreamOrderError, decompose
 from persistick.oracle import gen_random_walk
-from persistick import rolling
+from persistick import core, rolling
 from persistick.powerlaw import InsufficientTailError, fit, fit_many
 from persistick.rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
 
@@ -310,11 +310,14 @@ class TestCost:
             return decompose(v, t)
 
         monkeypatch.setattr(rolling, "decompose", counting_decompose)
+        monkeypatch.setattr(core, "decompose", counting_decompose)
         pts = rolling_fit(values, times, cfg)
         assert len(pts) == n_windows
         # Each sample is decomposed once in its block; per window only the
         # blocks' tops are decomposed again.
         assert sum(seen) < 1.3 * values.size
+        # Both are peeled, and a walk never reaches the round cap.
+        assert seen == []
 
     def test_every_window_fitted_in_one_batch(self, monkeypatch):
         times, values = gen_random_walk(20_000, seed=9, kind="gauss", dt=SECOND_NS)
