@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import decompose
+from .core import Decomposer, Decomposition, decompose
 from .ingest import CalendarError, InstrumentSpec, RollRule, build_continuous, parse_ticks
 from .oracle import decomposition_digest, gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
 from .powerlaw import InsufficientTailError, _check_settings, fit, mle_count_exponent
@@ -46,6 +46,9 @@ def _write_atomic(directory: str, files: dict[str, str | Iterable[str]]) -> None
     written are they renamed into place.  On failure every temp file left
     is removed, so no mix of old and new files comes from a failed write.
     """
+    if not os.path.isdir(directory):
+        what = "is not a directory" if os.path.exists(directory) else "does not exist"
+        raise FileNotFoundError(f"output directory {directory!r} {what}")
     tmps: list[str] = []
     try:
         for text in files.values():
@@ -242,8 +245,17 @@ def cmd_continuous(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _same_decomposition(a: Decomposition, b: Decomposition) -> bool:
+    """Pair for pair in emission order, with the same top and the same variations."""
+    return (
+        all(np.array_equal(x, y) for x, y in zip(a.pair_columns(), b.pair_columns()))
+        and a.top == b.top
+        and (a.tv_total, a.tv_top) == (b.tv_total, b.tv_top)
+    )
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
+    failures = stream_failures = 0
     rng_seeds = range(args.seed, args.seed + 40)
     for seed in rng_seeds:
         kind = "pm1" if seed % 2 == 0 else "gauss"
@@ -254,13 +266,19 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         same = decomposition_digest(dec) == decomposition_digest(ora)
         if not (same and dec.tv_total == dec.tv_top + dec.pair_variation()):
             failures += 1
+        stream = Decomposer()
+        for sample in zip(t.tolist(), v.tolist()):
+            stream.push(sample)
+        if not _same_decomposition(dec, stream.finish()):
+            stream_failures += 1
     print(f"oracle equivalence: {'ok' if failures == 0 else 'FAIL'} ({len(rng_seeds)} walks)")
+    print(f"stream equivalence: {'ok' if stream_failures == 0 else 'FAIL'} ({len(rng_seeds)} walks)")
 
     sizes = gen_discrete_powerlaw(20_000, 3.0, 10, seed=args.seed)
     est = mle_count_exponent(sizes, 10)
     fit_ok = abs(est - 3.0) < 0.1
     print(f"fit recovery: {'ok' if fit_ok else 'FAIL'} (estimate {est:.3f} for 3.0)")
-    if failures or not fit_ok:
+    if failures or stream_failures or not fit_ok:
         return 1
     return EXIT_OK
 

@@ -358,12 +358,21 @@ def decompose(
     """Decompose a whole series at once.
 
     Equivalent to pushing every sample through a Decomposer and calling
-    finish(), but the flat-run collapse and extremum detection are
-    vectorised, which matters for million-sample inputs.  The arithmetic
-    is int64, so values and times must lie in the int64 range, as arrays or
-    lists, and both the values' spread (max - min) and their total variation
-    must fit in int64; other inputs raise ValueError rather than wrap.  Items
-    that are not integers raise TypeError rather than truncate.
+    finish(): the same pairs in the same emission order, the same top and
+    the same variations.  The flat-run collapse and extremum detection are
+    vectorised, and so is most of the pairing.  Array rounds remove each
+    swing smaller than the one before it and no larger than the one after,
+    while a round removes at least 1/8 of the extrema left; the stack loop
+    pairs only the residue.  Sorting the pairs by (confirming extremum,
+    round), the residue's last, gives the emission order; see
+    _pair_extrema.  A random walk takes about a dozen rounds and leaves a
+    few dozen extrema to the loop; a closed spiral goes almost wholly to it.
+
+    The arithmetic is int64, so values and times must lie in the int64
+    range, as arrays or lists, and both the values' spread (max - min) and
+    their total variation must fit in int64; other inputs raise ValueError
+    rather than wrap.  Items that are not integers raise TypeError rather
+    than truncate.
     """
     v = _as_int64(values, "values")
     n = v.size
@@ -393,28 +402,114 @@ def decompose(
     ev = v2[idx]
     et = t2[idx]
     # Only the extrema are used from here on.  Freeing the rest now keeps
-    # the sweep and the pair gather below from adding to peak memory.
+    # the pairing and the pair gather below from adding to peak memory.
     del v, t, dv, keep, v2, t2, dv2, rising, turns, idx
-    k = int(ev.size)
     # Monotone between consecutive extrema, so their differences carry the
     # whole variation.  Each step fits in int64 (the spread does).
     tv_total = _exact_sum(np.abs(np.diff(ev)))
     if tv_total > _INT64_MAX:
         raise ValueError(f"total variation {tv_total} is more than int64 holds")
 
-    # The sweep below mirrors Decomposer.push but runs on bare ints: the
-    # stack of extremum indices carries a mirrored value stack, and the
-    # input is consumed in blocks so live Python ints stay cache-resident
-    # even for multi-million-sample series.  Pairs materialise lazily.
-    # Directions strictly alternate after the flat/turn reduction.
+    same, other, stack = _pair_extrema(ev)
+    lo = np.where(ev[same] < ev[other], same, other)
+    hi = same + other - lo
+    pending = Sample(int(et[-1]), int(ev[-1]))
+    top = _top(et[stack].tolist(), ev[stack].tolist(), bool(ev[-1] > ev[-2]), pending)
+    return Decomposition([(et[lo], ev[lo], et[hi], ev[hi])], top, tv_total)
+
+
+# Pairing rounds run while each removes at least this share of the extrema
+# left, so together they cost at most 8 passes over the extrema.  A series
+# that peels slower (a closed spiral, one swing per round) goes to _sweep.
+_ROUND_MIN_SHARE = 1 / 8
+
+
+def _pair_extrema(ev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs and the top of alternating extremum values ev, as Decomposer.push finds them.
+
+    Returns index arrays into ev: for each pair in emission order, its
+    extremum of the confirming extremum's kind and its other extremum; then
+    the top's extrema, in time order.
+
+    Rounds first.  With swings d[i] = |ev[i + 1] - ev[i]|, a round removes
+    every interior swing with d[i - 1] > d[i] <= d[i + 1]; no two of them
+    touch.  As the left side is strict, the stack automaton pops exactly
+    (ev[i], ev[i + 1]) on reading ev[i + 2], before any other pop there and
+    without the tied-minimum relabel.  Removing the pair changes no other
+    pop: it only moves those that ev[i] confirmed to ev[i + 2], which
+    reaches as far.  Rounds stop once one would remove under
+    _ROUND_MIN_SHARE of the extrema left, and _sweep pairs that residue.
+
+    Then emission order.  Going back one round at a time, a pair's
+    confirming extremum steps to the first extremum of the pair that
+    round removed just before it, while that one reaches the pair's level
+    too: its max for a rising confirmation, its min for a falling one, ties
+    included.  The pairs then sort stably by (confirming index, round), the
+    residue's last and in their own order.
+    """
+    pos = np.arange(ev.size)  # the index in ev of each extremum left
+    e = ev
+    rounds = []  # per round: same, other and confirming index of each pair
+    while True:
+        d = np.abs(np.diff(e))
+        mid = d[1:-1]
+        j = np.flatnonzero((d[:-2] > mid) & (mid <= d[2:])) + 1
+        if not j.size or 2 * j.size < _ROUND_MIN_SHARE * e.size:
+            break
+        rounds.append((pos[j], pos[j + 1], pos[j + 2]))
+        keep = np.ones(e.size, dtype=bool)
+        keep[j] = False
+        keep[j + 1] = False
+        pos = pos[keep]
+        e = e[keep]
+    same, other, at, stack = _sweep(e)
+    same, other, at = pos[same], pos[other], pos[at]
+
+    # Latest round first, step the confirming index of every pair found
+    # after it down, then put its own pairs in front.  steps[c] is the first
+    # extremum of the pair that round removed just before c, -1 if none.
+    steps = np.full(ev.size, -1, dtype=np.intp)
+    for rnd in reversed(rounds):
+        same_r, _, at_r = rnd
+        steps[at_r] = same_r
+        i = np.flatnonzero(steps[at] >= 0)
+        while i.size:
+            c = steps[at[i]]
+            level = ev[same[i]]
+            up = level > ev[other[i]]
+            reach = np.where(up, ev[c] >= level, ev[c] <= level)
+            i = i[reach]
+            at[i] = c[reach]
+            i = i[steps[at[i]] >= 0]
+        steps[at_r] = -1
+        same, other, at = map(np.concatenate, zip(rnd, (same, other, at)))
+    # The pairs are in round order, the residue's last, and a stable sort
+    # keeps that order at equal confirming indices.
+    order = np.argsort(at, kind="stable")
+    return same[order], other[order], pos[stack]
+
+
+def _sweep(ev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Decomposer.push's stack automaton over alternating extremum values ev.
+
+    Returns index arrays into ev: for each pair in emission order, its
+    extremum of the confirming extremum's kind, its other extremum and the
+    confirming extremum; then the final stack, which is the top.
+
+    The loop mirrors Decomposer.push but runs on bare ints: the stack of
+    extremum indices carries a mirrored value stack, and the input is
+    consumed in blocks so live Python ints stay cache-resident even for
+    multi-million-extremum inputs.
+    """
     stk: list[int] = []
     stv: list[int] = []
-    emit_lo = array("q")
-    emit_hi = array("q")
+    same = array("q")
+    other = array("q")
+    at = array("q")
     d = 1 if ev[1] > ev[0] else -1
     prev = int(ev[0])
     block = 1 << 15
-    for a in range(1, k, block):
+    for a in range(1, ev.size, block):
         for j, x in enumerate(ev[a : a + block].tolist(), a - 1):
             stk.append(j)
             stv.append(prev)
@@ -425,31 +520,27 @@ def decompose(
                     v3 = stv[-3]
                     if v3 > v1 or x < stv[-2]:
                         break
+                    same.append(stk[-2])
+                    at.append(j + 1)
                     if v3 == v1:
-                        emit_lo.append(stk[-3])
-                        emit_hi.append(stk[-2])
+                        other.append(stk[-3])
                         del stk[-3:-1]
                         del stv[-3:-1]
                     else:
-                        emit_lo.append(stk[-1])
-                        emit_hi.append(stk[-2])
+                        other.append(stk[-1])
                         del stk[-2:]
                         del stv[-2:]
             else:
                 while len(stv) >= 3:
                     if stv[-3] < stv[-1] or x > stv[-2]:
                         break
-                    emit_lo.append(stk[-2])
-                    emit_hi.append(stk[-1])
+                    same.append(stk[-2])
+                    other.append(stk[-1])
+                    at.append(j + 1)
                     del stk[-2:]
                     del stv[-2:]
             d = -d
-
-    top_times = et[np.asarray(stk, dtype=np.intp)].tolist()
-    top = _top(top_times, stv, bool(ev[-1] > ev[-2]), Sample(int(et[-1]), int(ev[-1])))
-    il = np.asarray(emit_lo, dtype=np.intp)
-    ih = np.asarray(emit_hi, dtype=np.intp)
-    return Decomposition([(et[il], ev[il], et[ih], ev[ih])], top, tv_total)
+    return (*(np.asarray(c, dtype=np.intp) for c in (same, other, at)), stk)
 
 
 class _Peeled(NamedTuple):

@@ -106,8 +106,12 @@ class RollRule:
         eligible_months: Iterable[int] = (3, 6, 9, 12),
     ) -> None:
         cal = tuple(calendar)
+        months = frozenset(eligible_months)
         if days_before_expiry < 0:
             raise ValueError("days_before_expiry must be non-negative")
+        outside = sorted(m for m in months if not 1 <= m <= 12)
+        if outside:
+            raise ValueError(f"eligible month {outside[0]} is not in 1-12")
         if any(b[1] < a[1] for a, b in zip(cal, cal[1:])):
             raise CalendarError("calendar must be sorted by expiry date")
         seen: set[str] = set()
@@ -117,7 +121,7 @@ class RollRule:
             seen.add(cid)
         object.__setattr__(self, "calendar", cal)
         object.__setattr__(self, "days_before_expiry", int(days_before_expiry))
-        object.__setattr__(self, "eligible_months", frozenset(eligible_months))
+        object.__setattr__(self, "eligible_months", months)
 
     def roll_time_ns(self, expiry: date) -> int:
         roll_day = expiry - timedelta(days=self.days_before_expiry)

@@ -16,7 +16,7 @@ import pytest
 
 from persistick import cli
 from persistick.cli import _parse_duration, _parse_xmin_range, main
-from persistick.core import Sample, decompose
+from persistick.core import Decomposition, Sample, decompose
 from persistick.ingest import InstrumentSpec, build_continuous, parse_ticks, RollRule
 from persistick.oracle import gen_random_walk
 from persistick.powerlaw import fit
@@ -112,6 +112,30 @@ class TestDecompose:
         monkeypatch.undo()
         assert run(*argv) == 0
         assert all((out / name).read_bytes() != data for name, data in before.items())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_output_directory(self, tmp_path, capsys, monkeypatch, fmt):
+        # Named as given, relative too, and never by a temp file's name.
+        write_reference_csv(tmp_path / "h.csv")
+        monkeypatch.chdir(tmp_path)
+        rc = run(
+            "decompose", "h.csv", "--tick", "0.0001", "--columns", "time,price",
+            "--format", fmt, "--out", "missing_dir",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: output directory 'missing_dir' does not exist\n"
+        assert sorted(os.listdir(tmp_path)) == ["h.csv"]
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        write_reference_csv(tmp_path / "h.csv")
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = run(
+            "decompose", str(tmp_path / "h.csv"), "--tick", "0.0001", "--columns", "time,price",
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: output directory {str(out)!r} is not a directory\n"
 
     def test_json_output(self, tmp_path):
         src = tmp_path / "quotes.csv"
@@ -519,6 +543,36 @@ class TestContinuous:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cal}: {message}\n"
 
+    @pytest.mark.parametrize("months, first", [("13", 13), ("0,3", 0)])
+    def test_months_outside_the_year(self, tmp_path, capsys, months, first):
+        src = tmp_path / "h24.csv"
+        src.write_text("0,1.00\n1,1.01\n")
+        cal = tmp_path / "calendar.csv"
+        cal.write_text("H24,2024-03-15\n")
+        rc = run(
+            "continuous", f"H24={src}", "--months", months,
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: eligible month {first} is not in 1-12\n"
+        assert not (tmp_path / "continuous.csv").exists()
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        src = tmp_path / "h24.csv"
+        src.write_text("0,1.00\n1,1.01\n")
+        cal = tmp_path / "calendar.csv"
+        cal.write_text("H24,2024-03-15\n")
+        out = tmp_path / "missing_dir"
+        rc = run(
+            "continuous", f"H24={src}",
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(out),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: output directory {str(out)!r} does not exist\n"
+        assert not out.exists()
+
     def test_missing_calendar_entry(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
         src.write_text("0,1.00\n")
@@ -635,6 +689,7 @@ class TestSelftest:
         assert rc == 0
         out = capsys.readouterr().out
         assert "oracle equivalence: ok (40 walks)" in out
+        assert "stream equivalence: ok (40 walks)" in out
         assert "fit recovery: ok" in out
 
     def test_compares_pair_times(self, capsys, monkeypatch):
@@ -643,3 +698,17 @@ class TestSelftest:
         monkeypatch.setattr(cli, "level_sweep_pairs", lambda v, t: sweep(v, [x + 1 for x in t]))
         assert run("selftest") == 1
         assert "oracle equivalence: FAIL" in capsys.readouterr().out
+
+    def test_checks_batch_pair_order(self, capsys, monkeypatch):
+        # The same pairs, top and variations, but the pairs in reverse order:
+        # the oracle digest sorts the pairs, the stream comparison does not.
+        def reversed_pairs(v, t):
+            dec = decompose(v, t)
+            cols = tuple(c[::-1] for c in dec.pair_columns())
+            return Decomposition([cols], dec.top, dec.tv_total)
+
+        monkeypatch.setattr(cli, "decompose", reversed_pairs)
+        assert run("selftest") == 1
+        out = capsys.readouterr().out
+        assert "oracle equivalence: ok (40 walks)" in out
+        assert "stream equivalence: FAIL (40 walks)" in out

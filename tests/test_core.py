@@ -541,6 +541,104 @@ class TestFullInt64Range:
             assert_conserved(dec)
 
 
+def _closed_spiral(m: int) -> np.ndarray:
+    """Swings shrinking by one towards the middle, closed by one large move."""
+    spiral = np.empty(2 * m + 1, dtype=np.int64)
+    spiral[0:-1:2] = np.arange(m)
+    spiral[1:-1:2] = 2 * m - np.arange(m)
+    spiral[-1] = 10 * m
+    return spiral
+
+
+@st.composite
+def _long_series(draw) -> tuple[np.ndarray, np.ndarray | None]:
+    """Up to about 2 000 tie-heavy samples, at either end of int64 or near 0.
+
+    Small alphabets, +-1/+-2 steps with plateaus, or a walk closed by a
+    contracting spiral, on which the default rounds stop part-way.  Times
+    are the indices, or non-decreasing with repeats.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2_000))
+    shape = draw(st.sampled_from(["alphabet", "steps", "spiral"]))
+    if shape == "alphabet":
+        values = rng.integers(0, draw(st.integers(2, 5)), size=n)
+    elif shape == "steps":
+        values = np.cumsum(rng.choice([-2, -1, 0, 0, 1, 2], size=n))
+    else:
+        walk = np.cumsum(rng.choice([-1, 1], size=n))
+        values = np.concatenate([walk, walk[-1] + _closed_spiral(draw(st.integers(1, 300)))])
+    end = draw(st.sampled_from([0, -(2**63), 2**63 - 1]))
+    values = values - (values.max() if end > 0 else values.min()) + end
+    times = None
+    if draw(st.booleans()):
+        times = np.sort(rng.integers(0, values.size // 2 + 1, size=values.size))
+    return values, times
+
+
+class TestPairingRounds:
+    """decompose's pairing rounds give Decomposer.push's pairs in its emission order."""
+
+    # A round never removes all the extrema left, so a share of 1 stops the
+    # rounds at once and 0 runs them until none is left to remove.
+    @pytest.mark.parametrize("share", [None, 1, 0], ids=["default", "no-rounds", "all-rounds"])
+    @given(series=_long_series())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_stream_in_emission_order(self, share, series):
+        values, times = series
+        want = stream_decompose(values.tolist(), None if times is None else times.tolist())
+        with pytest.MonkeyPatch.context() as mp:
+            if share is not None:
+                mp.setattr(core, "_ROUND_MIN_SHARE", share)
+            assert_same_decomposition(decompose(values, times), want)
+
+    def test_default_rounds_stop_part_way(self, monkeypatch):
+        _, walk = gen_random_walk(20_000, seed=3, kind="gauss")
+        spiral = _closed_spiral(5_000)
+        values = np.concatenate([walk, walk[-1] + spiral])
+        swept = []
+        sweep = core._sweep
+
+        def counting_sweep(e):
+            swept.append(e.size)
+            return sweep(e)
+
+        monkeypatch.setattr(core, "_sweep", counting_sweep)
+        dec = decompose(values)
+        assert_same_decomposition(dec, stream_decompose(values.tolist()))
+        # Every extremum ends in a pair, in the top or as the pending sample.
+        extrema = 2 * dec.pair_count + len(dec.top.extrema) + 1
+        # The rounds take much of the walk; the spiral, all but its innermost
+        # swing, is left to the loop.
+        assert len(swept) == 1
+        assert spiral.size - 2 <= swept[0] < extrema - walk.size // 10
+
+    @pytest.mark.parametrize(
+        "values, pairs",
+        [
+            # Equal minima left of the removed swing (5, 3): (3, 5) pops first
+            # on reading 9, then the tied minima pair the earlier one.
+            ([0, 9, 0, 5, 3, 9, -1], [(4, 3), (0, 1)]),
+            # The confirming 4 at index 7 steps down to the removed pair's 4
+            # at index 5, which reaches the level exactly.
+            ([0, 2, 0, 4, 0, 4, 2, 4], [(0, 1), (2, 3), (6, 5)]),
+            # The confirming 10 equals the level of the pair (4, 10).
+            ([0, 10, 4, 6, 5, 10, -5], [(4, 3), (2, 1)]),
+            # Two removed pairs before the confirming 3 at index 7: (0, 1)
+            # steps down twice, to index 3, ahead of both.
+            ([0, 1, 0, 3, 1, 3, 2, 3, 0, 3, 0], [(0, 1), (4, 3), (6, 5), (2, 7)]),
+            # (1, 2), confirmed by the 5 at index 8, steps to index 6, then to
+            # index 4, whose 4 equals its level.
+            ([3, 1, 4, 1, 4, 2, 5, 3, 5], [(1, 2), (5, 4), (7, 6)]),
+        ],
+        ids=["equal-minima", "tie-step", "tie-confirm", "two-steps", "two-steps-tied"],
+    )
+    def test_named_orders(self, values, pairs):
+        dec = decompose(values)
+        assert [(p.minimum.time, p.maximum.time) for p in dec.pairs] == pairs
+        assert_same_decomposition(dec, stream_decompose(values))
+
+
 @st.composite
 def _segmented(draw) -> tuple[np.ndarray, list[int]]:
     """int64 values (ties and plateaus, small or over the full range) and segment starts.
@@ -587,13 +685,8 @@ class TestPeel:
             _assert_peel_equals_decompose(values, starts)
 
     def test_spiral_hits_the_round_cap(self, monkeypatch):
-        # Swings shrink by one towards the middle, then one large move closes
-        # the spiral: each round can remove only the innermost swing.
-        m = 10_000
-        spiral = np.empty(2 * m + 1, dtype=np.int64)
-        spiral[0:-1:2] = np.arange(m)
-        spiral[1:-1:2] = 2 * m - np.arange(m)
-        spiral[-1] = 10 * m
+        # Each round can remove only the spiral's innermost swing.
+        spiral = _closed_spiral(10_000)
         _, walk = gen_random_walk(3_000, seed=2, kind="gauss")
         values = np.concatenate([walk, spiral, walk[:1], spiral[::-1]])
         starts = [0, walk.size, walk.size, values.size - spiral.size - 1, values.size - spiral.size]

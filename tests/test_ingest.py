@@ -513,6 +513,16 @@ class TestRollRule:
         with pytest.raises(CalendarError, match="'H' appears twice"):
             RollRule([("H", date(2024, 3, 15)), ("H", date(2024, 6, 21))])
 
+    @pytest.mark.parametrize("months, first", [((13,), 13), ((0, 3), 0), ((3, 6, -1, 14), -1)])
+    def test_months_outside_the_year_rejected(self, months, first):
+        # No expiry could be eligible, so the splice would be silently empty.
+        with pytest.raises(ValueError, match=f"^eligible month {first} is not in 1-12$"):
+            RollRule([("H", date(2024, 3, 15))], eligible_months=months)
+
+    def test_every_month_accepted(self):
+        rule = RollRule([("H", date(2024, 3, 15))], eligible_months=range(1, 13))
+        assert rule.eligible_months == frozenset(range(1, 13))
+
 
 def _mk(times_values):
     return [Sample(t, v) for t, v in times_values]
