@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Decomposer, Decomposition, decompose
+from .core import Decomposer, Decomposition, _pair_segments, decompose
 from .ingest import CalendarError, InstrumentSpec, RollRule, build_continuous, parse_ticks
 from .oracle import decomposition_digest, gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
 from .powerlaw import InsufficientTailError, _check_settings, fit, mle_count_exponent
@@ -46,9 +46,6 @@ def _write_atomic(directory: str, files: dict[str, str | Iterable[str]]) -> None
     written are they renamed into place.  On failure every temp file left
     is removed, so no mix of old and new files comes from a failed write.
     """
-    if not os.path.isdir(directory):
-        what = "is not a directory" if os.path.exists(directory) else "does not exist"
-        raise FileNotFoundError(f"output directory {directory!r} {what}")
     tmps: list[str] = []
     try:
         for text in files.values():
@@ -254,8 +251,24 @@ def _same_decomposition(a: Decomposition, b: Decomposition) -> bool:
     )
 
 
+def _segments_agree(t: np.ndarray, v: np.ndarray, starts: np.ndarray) -> bool:
+    """The segmented kernel's sizes, tops and variations equal decompose of each segment alone."""
+    seg = _pair_segments(v, starts)
+    sizes, tops = seg.sizes(), seg.ev[seg.top]
+    pc, tc = seg.pair_cuts, seg.top_cuts
+    for k, (a, b) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), v.size])):
+        part = decompose(v[a:b], t[a:b])
+        if not (
+            np.array_equal(sizes[pc[k] : pc[k + 1]], part.sizes())
+            and tops[tc[k] : tc[k + 1]].tolist() == part.top.values()
+            and seg.tv_total[k] == part.tv_total
+        ):
+            return False
+    return True
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = stream_failures = 0
+    failures = stream_failures = segment_failures = 0
     rng_seeds = range(args.seed, args.seed + 40)
     for seed in rng_seeds:
         kind = "pm1" if seed % 2 == 0 else "gauss"
@@ -271,14 +284,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             stream.push(sample)
         if not _same_decomposition(dec, stream.finish()):
             stream_failures += 1
-    print(f"oracle equivalence: {'ok' if failures == 0 else 'FAIL'} ({len(rng_seeds)} walks)")
-    print(f"stream equivalence: {'ok' if stream_failures == 0 else 'FAIL'} ({len(rng_seeds)} walks)")
+        # Cut at three seeded points; the repeated last one leaves an empty segment.
+        cuts = np.sort(np.random.default_rng(seed).integers(0, v.size, size=3))
+        if not _segments_agree(t, v, np.concatenate(([0], cuts, cuts[-1:]))):
+            segment_failures += 1
+    for what, n in (("oracle", failures), ("stream", stream_failures), ("segment", segment_failures)):
+        print(f"{what} equivalence: {'ok' if n == 0 else 'FAIL'} ({len(rng_seeds)} walks)")
 
     sizes = gen_discrete_powerlaw(20_000, 3.0, 10, seed=args.seed)
     est = mle_count_exponent(sizes, 10)
     fit_ok = abs(est - 3.0) < 0.1
     print(f"fit recovery: {'ok' if fit_ok else 'FAIL'} (estimate {est:.3f} for 3.0)")
-    if failures or stream_failures or not fit_ok:
+    if failures or stream_failures or segment_failures or not fit_ok:
         return 1
     return EXIT_OK
 
@@ -355,6 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # The output directory is checked before any input is read.
+        out = getattr(args, "out", None)
+        if out is not None and not os.path.isdir(out):
+            what = "is not a directory" if os.path.exists(out) else "does not exist"
+            raise FileNotFoundError(f"output directory {out!r} {what}")
         return args.func(args)
     except InsufficientTailError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -359,14 +359,16 @@ def decompose(
 
     Equivalent to pushing every sample through a Decomposer and calling
     finish(): the same pairs in the same emission order, the same top and
-    the same variations.  The flat-run collapse and extremum detection are
-    vectorised, and so is most of the pairing.  Array rounds remove each
-    swing smaller than the one before it and no larger than the one after,
-    while a round removes at least 1/8 of the extrema left; the stack loop
-    pairs only the residue.  Sorting the pairs by (confirming extremum,
-    round), the residue's last, gives the emission order; see
-    _pair_extrema.  A random walk takes about a dozen rounds and leaves a
-    few dozen extrema to the loop; a closed spiral goes almost wholly to it.
+    the same variations.  This is the one-segment case of _pair_segments:
+    the flat-run collapse and extremum detection are vectorised, and so is
+    most of the pairing.  Array rounds remove each swing smaller than the
+    one before it and no larger than the one after, while a round removes
+    at least 1/8 of the extrema left; the stack loop pairs only the
+    residue.  Sorting the pairs by (confirming extremum, round), the
+    residue's last, gives the emission order; see _pair_extrema.  A random
+    walk takes about a dozen rounds and leaves a few dozen extrema to the
+    loop; a closed spiral goes almost wholly to it.  Times are read only at
+    the extrema.
 
     The arithmetic is int64, so values and times must lie in the int64
     range, as arrays or lists, and both the values' spread (max - min) and
@@ -375,47 +377,108 @@ def decompose(
     than truncate.
     """
     v = _as_int64(values, "values")
-    n = v.size
-    t = np.arange(n, dtype=np.int64) if times is None else _as_times(times)
-    if t.size != n:
+    t = None if times is None else _as_times(times)
+    if t is not None and t.size != v.size:
         raise ValueError("times and values length mismatch")
-    if n == 0:
+    if v.size == 0:
         return Decomposition([(_NO_PAIRS,) * 4], TopStructure([], None), 0)
-    lo, hi = int(v.min()), int(v.max())
-    if hi - lo > _INT64_MAX:
-        raise ValueError(f"values span {hi - lo}, more than int64 holds")
-
-    dv = np.diff(v)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(dv, 0, out=keep[1:])
-    v2 = v[keep]
-    t2 = t[keep]
-    dv2 = np.diff(v2)
-    if v2.size == 1:
-        top = TopStructure([], Sample(int(t2[0]), int(v2[0])))
-        return Decomposition([(_NO_PAIRS,) * 4], top, 0)
-
-    rising = dv2 > 0  # dv2 is never zero after the collapse
-    turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
-    idx = np.concatenate(([0], turns, [v2.size - 1]))
-    ev = v2[idx]
-    et = t2[idx]
-    # Only the extrema are used from here on.  Freeing the rest now keeps
-    # the pairing and the pair gather below from adding to peak memory.
-    del v, t, dv, keep, v2, t2, dv2, rising, turns, idx
-    # Monotone between consecutive extrema, so their differences carry the
-    # whole variation.  Each step fits in int64 (the spread does).
-    tv_total = _exact_sum(np.abs(np.diff(ev)))
-    if tv_total > _INT64_MAX:
-        raise ValueError(f"total variation {tv_total} is more than int64 holds")
-
-    same, other, stack = _pair_extrema(ev)
+    seg = _pair_segments(v, np.zeros(1, dtype=np.intp))
+    ev = seg.ev
+    et = seg.ext if t is None else t[seg.ext]
+    same, other = seg.same, seg.other
     lo = np.where(ev[same] < ev[other], same, other)
     hi = same + other - lo
-    pending = Sample(int(et[-1]), int(ev[-1]))
-    top = _top(et[stack].tolist(), ev[stack].tolist(), bool(ev[-1] > ev[-2]), pending)
-    return Decomposition([(et[lo], ev[lo], et[hi], ev[hi])], top, tv_total)
+    *stack, last = seg.top.tolist()
+    pending = Sample(int(et[last]), int(ev[last]))
+    rising = ev.size > 1 and bool(ev[-1] > ev[-2])
+    top = _top(et[stack].tolist(), ev[stack].tolist(), rising, pending)
+    return Decomposition([(et[lo], ev[lo], et[hi], ev[hi])], top, seg.tv_total[0])
+
+
+class _Segments(NamedTuple):
+    """What _pair_segments finds in each segment of a series.
+
+    ext is the index into the series of each kept extremum and ev its
+    value.  same, other and top index ext.  For each pair, same is its
+    extremum of the confirming extremum's kind and other its other one;
+    segment k's pairs are same[pair_cuts[k]:pair_cuts[k + 1]], in emission
+    order.  Segment k's top is top[top_cuts[k]:top_cuts[k + 1]], in time
+    order, the last one the pending sample.  tv_total is each segment's
+    total variation, an exact Python int.
+    """
+
+    ext: np.ndarray
+    ev: np.ndarray
+    same: np.ndarray
+    other: np.ndarray
+    pair_cuts: np.ndarray
+    top: np.ndarray
+    top_cuts: np.ndarray
+    tv_total: list[int]
+
+    def sizes(self) -> np.ndarray:
+        """Movement sizes in pair order, int64."""
+        return np.abs(self.ev[self.same] - self.ev[self.other])
+
+
+def _segment_sums(x: np.ndarray, cuts: np.ndarray) -> list[int]:
+    """Exact sums of the non-negative int64 x over each [cuts[k], cuts[k + 1])."""
+    if x.size * int(x.max(initial=0)) <= _INT64_MAX:
+        c = np.concatenate(([0], np.cumsum(x)))
+        return (c[cuts[1:]] - c[cuts[:-1]]).tolist()
+    return [_exact_sum(x[a:b]) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+
+
+def _pair_segments(values: np.ndarray, starts: np.ndarray) -> _Segments:
+    """decompose's pairs, top and total variation for each segment of an int64 series.
+
+    Segment k is values[starts[k]:starts[k + 1]], the last one running to
+    the end; starts[0] is 0, starts never decrease, and segments may be
+    empty, though not all of them.  A segment's kept extrema are the
+    earliest sample of each flat run that turns, and of its first and last
+    runs.  ValueError where decompose of a segment would raise one: its
+    spread or its total variation leaves int64.
+    """
+    n = values.size
+    # The earliest sample of each flat run, and every segment's first.
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    first[starts[starts < n]] = True
+    f = values[first]
+    kept = np.add.reduceat(first, starts[np.diff(starts, append=n) > 0], dtype=np.intp)
+    full = np.cumsum(kept) - kept  # where each non-empty segment starts in f
+    hi = np.maximum.reduceat(f, full)
+    lo = np.minimum.reduceat(f, full)
+    wide = np.flatnonzero(hi - lo < 0)  # a spread beyond int64 wraps negative
+    if wide.size:
+        k = wide[0]
+        raise ValueError(f"values span {int(hi[k]) - int(lo[k])}, more than int64 holds")
+    # Keep the turning points and every segment's first and last.  A
+    # comparison across a join decides only those kept anyway.
+    rising = f[1:] > f[:-1]
+    keep = np.ones(f.size, dtype=bool)
+    np.not_equal(rising[1:], rising[:-1], out=keep[1:-1])
+    del rising
+    keep[full] = True
+    keep[full[1:] - 1] = True
+    ev = f[keep]
+    del f  # so beside values at most one full-length array is live at once
+    ext = np.flatnonzero(first)[keep]
+    del first, keep
+    cuts = np.append(np.searchsorted(ext, starts), ext.size)
+
+    # Monotone between consecutive extrema, so the swings carry the whole
+    # variation.  A swing across a join may wrap; it counts 0, as does the
+    # one appended after the last extremum.
+    d = np.abs(np.diff(ev, append=ev[-1:]))
+    d[cuts[cuts > 0] - 1] = 0
+    tv_total = _segment_sums(d, cuts)
+    del d
+    over = [tv for tv in tv_total if tv > _INT64_MAX]
+    if over:
+        raise ValueError(f"total variation {over[0]} is more than int64 holds")
+    return _Segments(ext, ev, *_pair_extrema(ev, cuts), tv_total)
 
 
 # Pairing rounds run while each removes at least this share of the extrema
@@ -424,55 +487,85 @@ def decompose(
 _ROUND_MIN_SHARE = 1 / 8
 
 
-def _pair_extrema(ev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs and the top of alternating extremum values ev, as Decomposer.push finds them.
+def _pair_extrema(ev: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each segment's pairs and top among alternating extrema ev, as Decomposer.push finds them.
 
-    Returns index arrays into ev: for each pair in emission order, its
-    extremum of the confirming extremum's kind and its other extremum; then
-    the top's extrema, in time order.
+    Segment k is ev[cuts[k]:cuts[k + 1]].  Returns index arrays into ev:
+    for each pair, grouped by segment and in emission order, its extremum
+    of the confirming extremum's kind and its other extremum, then where
+    each segment's pairs start; each segment's top in time order, its last
+    extremum included, then where each segment's top starts.
 
-    Rounds first.  With swings d[i] = |ev[i + 1] - ev[i]|, a round removes
-    every interior swing with d[i - 1] > d[i] <= d[i + 1]; no two of them
-    touch.  As the left side is strict, the stack automaton pops exactly
+    Rounds first: the four-point rainflow rule (ASTM E1049-85).  With
+    swings d[i] = |ev[i + 1] - ev[i]|, a round removes every interior swing
+    with d[i - 1] > d[i] <= d[i + 1]; no two of them touch.  A swing across
+    a join reads -1, so none beside it is removed, and it is never removed
+    itself.  As the left side is strict, the stack automaton pops exactly
     (ev[i], ev[i + 1]) on reading ev[i + 2], before any other pop there and
     without the tied-minimum relabel.  Removing the pair changes no other
     pop: it only moves those that ev[i] confirmed to ev[i + 2], which
     reaches as far.  Rounds stop once one would remove under
-    _ROUND_MIN_SHARE of the extrema left, and _sweep pairs that residue.
+    _ROUND_MIN_SHARE of the extrema left, and _sweep pairs each segment's
+    residue.
 
     Then emission order.  Going back one round at a time, a pair's
     confirming extremum steps to the first extremum of the pair that
     round removed just before it, while that one reaches the pair's level
     too: its max for a rising confirmation, its min for a falling one, ties
     included.  The pairs then sort stably by (confirming index, round), the
-    residue's last and in their own order.
+    residue's last and in their own order.  A pair's confirming extremum
+    lies in its own segment, so that sort also groups the pairs by segment.
     """
     pos = np.arange(ev.size)  # the index in ev of each extremum left
     e = ev
-    rounds = []  # per round: same, other and confirming index of each pair
+    joins = np.unique(cuts[(cuts > 0) & (cuts < ev.size)]) - 1  # swings across a join
+    # Same, other and confirming index of each pair: per round, then per
+    # segment's residue.
+    found = ([], [], [])
     while True:
         d = np.abs(np.diff(e))
+        d[joins] = -1
         mid = d[1:-1]
-        j = np.flatnonzero((d[:-2] > mid) & (mid <= d[2:])) + 1
+        closed = (d[:-2] > mid) & (mid <= d[2:])
+        closed[joins[(joins > 0) & (joins <= closed.size)] - 1] = False
+        j = np.flatnonzero(closed) + 1
         if not j.size or 2 * j.size < _ROUND_MIN_SHARE * e.size:
             break
-        rounds.append((pos[j], pos[j + 1], pos[j + 2]))
+        for col, x in zip(found, (j, j + 1, j + 2)):
+            col.append(pos[x])
         keep = np.ones(e.size, dtype=bool)
         keep[j] = False
         keep[j + 1] = False
         pos = pos[keep]
         e = e[keep]
-    same, other, at, stack = _sweep(e)
-    same, other, at = pos[same], pos[other], pos[at]
+        joins -= 2 * np.searchsorted(j, joins)
+    # Where each round's pairs start, and the residue's.
+    bounds = np.cumsum([0] + [x.size for x in found[0]]).tolist()
+
+    tops = []
+    rc = np.searchsorted(pos, cuts).tolist()  # where each segment starts in the residue
+    for a, b in zip(rc[:-1], rc[1:]):
+        stack = []
+        if b - a > 1:
+            *pairs, stack = _sweep(e[a:b])
+            for col, x in zip(found, pairs):
+                col.append(pos[x + a])
+        if b > a:
+            stack.append(b - 1 - a)
+        tops.append(np.array(stack, dtype=np.intp) + a)
+    top = pos[np.concatenate(tops)]
+    top_cuts = np.cumsum([0] + [x.size for x in tops])
+    none = np.zeros(0, dtype=np.intp)
+    same, other, at = (np.concatenate([none, *col]) for col in found)
+    del found, pos, e  # so the ordering pass adds little to peak memory
 
     # Latest round first, step the confirming index of every pair found
-    # after it down, then put its own pairs in front.  steps[c] is the first
-    # extremum of the pair that round removed just before c, -1 if none.
+    # after it down.  steps[c] is the first extremum of the pair that round
+    # removed just before c, -1 if none.
     steps = np.full(ev.size, -1, dtype=np.intp)
-    for rnd in reversed(rounds):
-        same_r, _, at_r = rnd
-        steps[at_r] = same_r
-        i = np.flatnonzero(steps[at] >= 0)
+    for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
+        steps[at[a:b]] = same[a:b]
+        i = np.flatnonzero(steps[at[b:]] >= 0) + b
         while i.size:
             c = steps[at[i]]
             level = ev[same[i]]
@@ -481,12 +574,12 @@ def _pair_extrema(ev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             i = i[reach]
             at[i] = c[reach]
             i = i[steps[at[i]] >= 0]
-        steps[at_r] = -1
-        same, other, at = map(np.concatenate, zip(rnd, (same, other, at)))
+        steps[at[a:b]] = -1
+    del steps
     # The pairs are in round order, the residue's last, and a stable sort
     # keeps that order at equal confirming indices.
     order = np.argsort(at, kind="stable")
-    return same[order], other[order], pos[stack]
+    return same[order], other[order], np.searchsorted(at[order], cuts), top, top_cuts
 
 
 def _sweep(ev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
@@ -541,147 +634,3 @@ def _sweep(ev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int
                     del stv[-2:]
             d = -d
     return (*(np.asarray(c, dtype=np.intp) for c in (same, other, at)), stk)
-
-
-class _Peeled(NamedTuple):
-    """What _peel finds in each segment, grouped by segment.
-
-    Segment k's sizes are sizes[size_cuts[k]:size_cuts[k + 1]] (in no
-    particular order) and its top values tops[top_cuts[k]:top_cuts[k + 1]]
-    (in time order, the last one the pending value).  tv_total and tv_top
-    are exact Python ints, one per segment.
-    """
-
-    sizes: np.ndarray
-    size_cuts: np.ndarray
-    tops: np.ndarray
-    top_cuts: np.ndarray
-    tv_total: list[int]
-    tv_top: list[int]
-
-
-# Peeling rounds before the segments still reducible go to decompose.  A
-# random walk needs about a dozen; a spiral needs one per swing.
-_PEEL_ROUNDS = 48
-
-
-def _segment_sums(x: np.ndarray, cuts: np.ndarray) -> list[int]:
-    """Exact sums of the non-negative int64 x over each [cuts[k], cuts[k + 1])."""
-    if x.size * int(x.max(initial=0)) <= _INT64_MAX:
-        c = np.concatenate(([0], np.cumsum(x)))
-        return (c[cuts[1:]] - c[cuts[:-1]]).tolist()
-    return [_exact_sum(x[a:b]) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-
-
-def _peel(values: np.ndarray, starts: np.ndarray) -> _Peeled:
-    """decompose's sizes, top values and variations for each segment of an int64 series.
-
-    Segment k is values[starts[k]:starts[k + 1]], the last one running to
-    the end; starts[0] is 0, starts never decrease, and segments may be
-    empty.  ValueError where decompose of a segment would raise one: its
-    spread or its total variation leaves int64.
-
-    The four-point rainflow rule (ASTM E1049-85) without a stack: between
-    consecutive extrema, a swing no larger than either neighbour closes a
-    movement of its size, and removing its two extrema joins the three
-    swings into one.  Each round removes every such swing at once; in a
-    run of equal swings it takes every other one, so no two removals
-    touch.  A segment's first and last swings, whose neighbour lies across
-    a join, are never removed.  The sizes found and the swings left do not
-    depend on the order of removal, so after _PEEL_ROUNDS rounds the
-    segments still reducible are finished by decompose.
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    full = np.diff(starts, append=values.size) > 0
-    # Work on the non-empty segments; segment k is the full_before[k]-th of them.
-    full_before = np.concatenate(([0], np.cumsum(full)))
-    first = np.zeros(values.size, dtype=bool)
-    first[starts[full]] = True
-
-    # Collapse flat runs; p holds where each segment starts.
-    keep = first.copy()
-    keep[1:] |= values[1:] != values[:-1]
-    f = values[keep]
-    first = first[keep]
-    p = np.flatnonzero(first)
-    hi = np.maximum.reduceat(f, p)
-    lo = np.minimum.reduceat(f, p)
-    wide = np.flatnonzero(hi - lo < 0)  # a spread beyond int64 wraps negative
-    if wide.size:
-        k = wide[0]
-        raise ValueError(f"values span {int(hi[k]) - int(lo[k])}, more than int64 holds")
-    # Keep the turning points and every segment's first and last sample.
-    # A difference across a join may wrap; it decides only those kept ones.
-    rising = f[1:] > f[:-1]
-    keep = np.ones(f.size, dtype=bool)
-    np.not_equal(rising[1:], rising[:-1], out=keep[1:-1])
-    keep[p] = True
-    keep[p[1:] - 1] = True
-    e = f[keep]
-    p = np.flatnonzero(first[keep])
-    del keep, f, first, rising
-
-    def cuts() -> np.ndarray:
-        return np.append(p, e.size)[full_before]
-
-    def swings() -> np.ndarray:
-        """|e[i + 1] - e[i]|, 0 at each join: a wrapped difference is masked, never summed."""
-        a = np.abs(np.diff(e))
-        a[p[1:] - 1] = 0
-        return a
-
-    a = swings()
-    tv_total = _segment_sums(np.append(a, 0), cuts())
-    over = [tv for tv in tv_total if tv > _INT64_MAX]
-    if over:
-        raise ValueError(f"total variation {over[0]} is more than int64 holds")
-
-    sizes, size_seg = [], []
-    for peeled in range(_PEEL_ROUNDS + 1):
-        joins = p[1:] - 1
-        a[joins] = -1  # no swing beside a join is at most its neighbours
-        mid = a[1:-1]
-        closed = mid <= a[:-2]
-        closed &= mid <= a[2:]
-        closed[joins[(joins >= 1) & (joins <= closed.size)] - 1] = False
-        run = closed[1:] & closed[:-1]
-        if run.any():
-            # Equal swings side by side: take the 1st, 3rd, ... of each run.
-            i = np.arange(closed.size)
-            begin = np.maximum.accumulate(np.where(closed & ~np.r_[False, run], i, 0))
-            closed &= (i - begin) % 2 == 0
-        j = np.flatnonzero(closed) + 1
-        if not j.size:
-            break
-        seg_j = np.searchsorted(p, j, side="right") - 1
-        if peeled == _PEEL_ROUNDS:
-            # Finish the segments still reducible with the stack automaton.
-            pieces = np.split(e, p[1:])
-            for k in np.unique(seg_j).tolist():
-                dec = decompose(pieces[k])
-                sizes.append(dec.sizes())
-                size_seg.append(np.full(dec.pair_count, k))
-                pieces[k] = np.array(dec.top.values(), dtype=np.int64)
-            e = np.concatenate(pieces)
-            p = np.cumsum([0] + [x.size for x in pieces[:-1]])
-            break
-        sizes.append(a[j])
-        size_seg.append(seg_j)
-        keep = np.ones(e.size, dtype=bool)
-        keep[j] = False
-        keep[j + 1] = False
-        e = e[keep]
-        p -= 2 * np.searchsorted(j, p)
-        a = np.abs(np.diff(e))
-
-    size_seg = np.concatenate(size_seg) if size_seg else np.zeros(0, dtype=np.intp)
-    order = np.argsort(size_seg, kind="stable")
-    top_cuts = cuts()
-    return _Peeled(
-        np.concatenate(sizes)[order] if sizes else _NO_PAIRS,
-        np.searchsorted(size_seg[order], np.arange(full_before[-1] + 1))[full_before],
-        e,
-        top_cuts,
-        tv_total,
-        _segment_sums(np.append(swings(), 0), top_cuts),
-    )

@@ -61,7 +61,7 @@ class TickParseError(ValueError):
 
 
 class SpliceError(ValueError):
-    """A roll point has no usable reference quote on one side."""
+    """A roll point has no usable reference quote on one side, or no contract is eligible."""
 
 
 class CalendarError(ValueError):
@@ -627,7 +627,8 @@ def build_continuous(
     accumulated difference between the outgoing reference (last quote at or
     before the roll) and the incoming reference (first quote at or after
     it), so no splice introduces a price step and within-contract changes
-    are untouched.
+    are untouched.  No contracts give an empty series; contracts of which
+    none expires in an eligible month raise SpliceError.
     """
     expiries = dict(rule.calendar)
     chain: list[tuple[str, Sequence[Sample], date]] = []
@@ -643,6 +644,10 @@ def build_continuous(
         chain.append((cid, ss, expiry))
     chain.sort(key=lambda c: c[2])
     if not chain:
+        if contract_series:
+            months = ", ".join(map(str, sorted(rule.eligible_months)))
+            given = ", ".join(f"{cid} (month {expiries[cid].month})" for cid, _ in contract_series)
+            raise SpliceError(f"no contract expires in an eligible month ({months}); given {given}")
         return []
 
     out: list[Sample] = []

@@ -1,10 +1,10 @@
 """Windowed scaling-exponent estimates over a long series.
 
 A window's result equals a standalone decompose + fit of that sub-series,
-yet each sample is peeled once, not once per window.  The series is cut
+yet each sample is paired once, not once per window.  The series is cut
 at every window's first sample and one past its last, so each window is a
 run of whole blocks.  A window's movement sizes are the sizes found inside
-its blocks together with the sizes from peeling their joined top
+its blocks together with the sizes from pairing their joined top
 sequences.  This holds because a movement completed inside a block stays
 completed in any longer series around it (the elder rule of 1-D
 persistence), and what a block leaves open is exactly its top structure.
@@ -12,21 +12,21 @@ The merge is exact for sizes, not for pair identities: across a cut, the
 tied-minimum rule can change which minimum a pair reports.  The fit reads
 only sizes.
 
-Cost: two calls of core._peel, the vectorised four-point rainflow rule,
-each a dozen or so array rounds with no per-extremum Python loop: one
-over the series with every block as a segment, one over the joined tops
-(a handful of values per block) with every window as a segment.  A
-segment still reducible after the round cap is finished by decompose,
-which is exact because the sizes do not depend on the order of
-extraction; a random walk never gets there.  Every block's sizes are held
-at once, O(pairs) memory: about 8 bytes per pair found inside a block.
-Each window's sizes are built and reduced to a histogram one window at a
-time, and every window is fitted in one fit_many call: the cutoff
-candidates of all windows share one lockstep likelihood search and one
-pruned KS pass, so the fit costs a few dozen array passes in all rather
-than per window, and its elementwise work is set by the windows' distinct
-sizes.  Windows that cannot support a fit are marked, not dropped,
-keeping the output grid regular.
+Cost: two calls of core._pair_segments, the kernel decompose runs too,
+over a series cut into segments: one over the series with every block as
+a segment, one over the joined tops (a handful of values per block) with
+every window as a segment.  Each is under a dozen vectorised rainflow
+rounds with the segment joins as barriers, then the stack loop over each
+segment's residue: a few extrema per segment on a random walk, and all
+of a closed spiral, which would need one round per swing.  Every block's
+sizes are held at once, O(pairs) memory: about 8 bytes per pair found
+inside a block.  Each window's sizes are built and reduced to a histogram
+one window at a time, and every window is fitted in one fit_many call:
+the cutoff candidates of all windows share one lockstep likelihood search
+and one pruned KS pass, so the fit costs a few dozen array passes in all
+rather than per window, and its elementwise work is set by the windows'
+distinct sizes.  Windows that cannot support a fit are marked, not
+dropped, keeping the output grid regular.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, _as_int64, _as_times, _peel, decompose
+from .core import _INT64_MAX, _as_int64, _as_times, _pair_segments, _segment_sums, decompose
 from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, _check_settings, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
 from .spectrum import histogram
@@ -119,15 +119,18 @@ def rolling_fit(
     past = np.searchsorted(cuts, hi)
     try:
         # Each block meets the integer gate with the caller's own items.
-        blocks = _peel(
+        blocks = _pair_segments(
             np.concatenate([_as_int64(values[a:b], "values") for a, b in zip(cuts[:-1], cuts[1:])]),
             cuts[:-1] - cuts[0],
         )
-        tc = blocks.top_cuts
-        joined = [blocks.tops[a:b] for a, b in zip(tc[first], tc[past])]
-        merges = _peel(np.concatenate(joined), np.cumsum([0] + [j.size for j in joined[:-1]]))
+        tops, tc = blocks.ev[blocks.top], blocks.top_cuts
+        block_sizes, sc = blocks.sizes(), blocks.pair_cuts
+        del blocks  # so the blocks' extrema are not held through the merges and the fit
+        joined = [tops[a:b] for a, b in zip(tc[first], tc[past])]
+        merges = _pair_segments(np.concatenate(joined), np.cumsum([0] + [j.size for j in joined[:-1]]))
+        merge_sizes, mc = merges.sizes(), merges.pair_cuts
         # A window's variation is its joined tops' plus what its blocks' pairs carry.
-        paired = [0, *accumulate(a - b for a, b in zip(blocks.tv_total, blocks.tv_top))]
+        paired = [0, *accumulate(2 * s for s in _segment_sums(block_sizes, sc))]
         for w, (f, p) in enumerate(zip(first.tolist(), past.tolist())):
             tv_total = merges.tv_total[w] + paired[p] - paired[f]
             if tv_total > _INT64_MAX:
@@ -142,9 +145,8 @@ def rolling_fit(
 
     # A window's sizes are its blocks' sizes plus those from joining their
     # tops, built and reduced to a histogram one window at a time.
-    sc, mc = blocks.size_cuts, merges.size_cuts
     windows = [
-        histogram(np.concatenate((blocks.sizes[sc[f] : sc[p]], merges.sizes[mc[w] : mc[w + 1]])))
+        histogram(np.concatenate((block_sizes[sc[f] : sc[p]], merge_sizes[mc[w] : mc[w + 1]])))
         for w, (f, p) in enumerate(zip(first, past))
     ]
     fits = fit_many(windows, min_tail=cfg.min_tail, xmin_range=cfg.xmin_range)

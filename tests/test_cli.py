@@ -126,6 +126,15 @@ class TestDecompose:
         assert capsys.readouterr().err == "error: output directory 'missing_dir' does not exist\n"
         assert sorted(os.listdir(tmp_path)) == ["h.csv"]
 
+    def test_output_directory_checked_before_the_input(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run(
+            "decompose", "nope.csv", "--tick", "0.01", "--columns", "time,price",
+            "--out", "missing_dir",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: output directory 'missing_dir' does not exist\n"
+
     def test_output_path_is_a_file(self, tmp_path, capsys):
         write_reference_csv(tmp_path / "h.csv")
         out = tmp_path / "taken"
@@ -573,6 +582,24 @@ class TestContinuous:
         assert capsys.readouterr().err == f"error: output directory {str(out)!r} does not exist\n"
         assert not out.exists()
 
+    def test_no_eligible_contract(self, tmp_path, capsys):
+        a, b = tmp_path / "h.csv", tmp_path / "m.csv"
+        a.write_text("0,1.00\n1,1.01\n")
+        b.write_text("0,1.00\n1,1.02\n")
+        cal = tmp_path / "cal.csv"
+        cal.write_text("H24,2024-03-15\nM24,2024-06-21\n")
+        rc = run(
+            "continuous", f"H24={a}", f"M24={b}", "--months", "1",
+            "--tick", "0.01", "--columns", "time,price",
+            "--calendar", str(cal), "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no contract expires in an eligible month (1); "
+            "given H24 (month 3), M24 (month 6)\n"
+        )
+        assert not (tmp_path / "continuous.csv").exists()
+
     def test_missing_calendar_entry(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
         src.write_text("0,1.00\n")
@@ -690,6 +717,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "oracle equivalence: ok (40 walks)" in out
         assert "stream equivalence: ok (40 walks)" in out
+        assert "segment equivalence: ok (40 walks)" in out
         assert "fit recovery: ok" in out
 
     def test_compares_pair_times(self, capsys, monkeypatch):
@@ -712,3 +740,18 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "oracle equivalence: ok (40 walks)" in out
         assert "stream equivalence: FAIL (40 walks)" in out
+
+    def test_checks_the_segmented_kernel(self, capsys, monkeypatch):
+        # Every segment's total variation one more: only the segment check sees it.
+        kernel = cli._pair_segments
+
+        def perturbed(v, starts):
+            seg = kernel(v, starts)
+            return seg._replace(tv_total=[tv + 1 for tv in seg.tv_total])
+
+        monkeypatch.setattr(cli, "_pair_segments", perturbed)
+        assert run("selftest") == 1
+        out = capsys.readouterr().out
+        assert "oracle equivalence: ok (40 walks)" in out
+        assert "stream equivalence: ok (40 walks)" in out
+        assert "segment equivalence: FAIL (40 walks)" in out

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from persistick import core
 from persistick.core import (
-    _PEEL_ROUNDS,
     Decomposer,
     Extremum,
     Kind,
@@ -19,7 +18,7 @@ from persistick.core import (
     Sample,
     StreamOrderError,
     TopStructure,
-    _peel,
+    _pair_segments,
     decompose,
     total_variation,
 )
@@ -654,25 +653,34 @@ def _segmented(draw) -> tuple[np.ndarray, list[int]]:
     return np.array(values, dtype=np.int64), [0, *sorted(cuts)]
 
 
-def _assert_peel_equals_decompose(values: np.ndarray, starts: list[int]) -> None:
-    """Each segment's sizes, top values and variations, as decompose finds them alone."""
-    peeled = _peel(values, np.array(starts))
+def _assert_segments_equal_decompose(values: np.ndarray, starts: list[int], seg) -> None:
+    """seg holds each segment's pairs in emission order, top and variation, as decompose alone."""
+    ev = seg.ev
     for k, (a, b) in enumerate(zip(starts, [*starts[1:], values.size])):
         dec = decompose(values[a:b])
-        sizes = peeled.sizes[peeled.size_cuts[k] : peeled.size_cuts[k + 1]]
-        assert sorted(sizes.tolist()) == sorted(dec.sizes().tolist())
-        assert peeled.tops[peeled.top_cuts[k] : peeled.top_cuts[k + 1]].tolist() == dec.top.values()
-        assert peeled.tv_total[k] == dec.tv_total
-        assert peeled.tv_top[k] == dec.tv_top
-        assert peeled.tv_total[k] - peeled.tv_top[k] == dec.pair_variation()
+        pairs = slice(seg.pair_cuts[k], seg.pair_cuts[k + 1])
+        same, other = seg.same[pairs], seg.other[pairs]
+        lo = np.where(ev[same] < ev[other], same, other)
+        hi = same + other - lo
+        got = (seg.ext[lo] - a, ev[lo], seg.ext[hi] - a, ev[hi])
+        assert [c.tolist() for c in got] == [c.tolist() for c in dec.pair_columns()]
+        top = seg.top[seg.top_cuts[k] : seg.top_cuts[k + 1]]
+        assert ev[top].tolist() == dec.top.values()
+        times = [e.time for e in dec.top.extrema] + [s.time for s in [dec.top.pending] if s]
+        assert (seg.ext[top] - a).tolist() == times
+        assert seg.tv_total[k] == dec.tv_total
+        assert np.array_equal(seg.sizes()[pairs], dec.sizes())
 
 
-class TestPeel:
-    """_peel equals decompose on every segment, or raises where one of them does."""
+class TestPairSegments:
+    """_pair_segments equals decompose on every segment, or raises where one of them does."""
 
-    @given(_segmented())
-    @settings(max_examples=400, deadline=None)
-    def test_each_segment_equals_decompose(self, case):
+    # As in TestPairingRounds: a share of 1 stops the rounds at once, 0 runs
+    # them until none is left to remove.
+    @pytest.mark.parametrize("share", [None, 1, 0], ids=["default", "no-rounds", "all-rounds"])
+    @given(case=_segmented())
+    @settings(max_examples=300, deadline=None)
+    def test_each_segment_equals_decompose(self, share, case):
         values, starts = case
         try:
             for a, b in zip(starts, [*starts[1:], values.size]):
@@ -680,26 +688,34 @@ class TestPeel:
         except ValueError as e:
             assert "int64" in str(e)
             with pytest.raises(ValueError, match="more than int64 holds"):
-                _peel(values, np.array(starts))
-        else:
-            _assert_peel_equals_decompose(values, starts)
+                _pair_segments(values, np.array(starts))
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            if share is not None:
+                mp.setattr(core, "_ROUND_MIN_SHARE", share)
+            seg = _pair_segments(values, np.array(starts))
+        _assert_segments_equal_decompose(values, starts, seg)
 
-    def test_spiral_hits_the_round_cap(self, monkeypatch):
-        # Each round can remove only the spiral's innermost swing.
+    def test_spirals_go_to_the_residue_sweep(self, monkeypatch):
+        # Each round can remove only a spiral's innermost swing.
         spiral = _closed_spiral(10_000)
         _, walk = gen_random_walk(3_000, seed=2, kind="gauss")
         values = np.concatenate([walk, spiral, walk[:1], spiral[::-1]])
         starts = [0, walk.size, walk.size, values.size - spiral.size - 1, values.size - spiral.size]
-        assert decompose(spiral).pair_count > _PEEL_ROUNDS
-        finished = []
+        swept, decomposed = [], []
+        sweep = core._sweep
 
-        def counting_decompose(v, t=None):
-            finished.append(len(v))
-            return decompose(v, t)
+        def counting_sweep(e):
+            swept.append(e.size)
+            return sweep(e)
 
-        monkeypatch.setattr(core, "decompose", counting_decompose)
-        _assert_peel_equals_decompose(values, starts)
-        # Only the two spirals are left reducible after the capped rounds,
-        # each short of about one swing per round.
-        assert len(finished) == 2
-        assert min(finished) >= spiral.size - 2 * _PEEL_ROUNDS - 1
+        monkeypatch.setattr(core, "_sweep", counting_sweep)
+        monkeypatch.setattr(core, "decompose", lambda *a: decomposed.append(a))
+        seg = _pair_segments(values, np.array(starts))
+        monkeypatch.undo()
+        assert decomposed == []
+        # The walk and both spirals reach the loop, the spirals nearly whole;
+        # the empty and the one-sample segments do not.
+        assert len(swept) == 3
+        assert min(sorted(swept)[-2:]) >= spiral.size - 2
+        _assert_segments_equal_decompose(values, starts, seg)

@@ -632,6 +632,17 @@ class TestBuildContinuous:
         # April is not an eligible month, so H24 is the whole (last) chain.
         assert out == a
 
+    def test_no_eligible_contract(self):
+        rule = RollRule(
+            [("H24", date(2024, 3, 15)), ("M24", date(2024, 6, 21))],
+            days_before_expiry=6,
+            eligible_months=[1],
+        )
+        quotes = _mk([(0, 100), (1, 101)])
+        names = r"eligible month \(1\); given H24 \(month 3\), M24 \(month 6\)"
+        with pytest.raises(SpliceError, match=names):
+            build_continuous([("H24", quotes), ("M24", quotes)], rule)
+
     def test_missing_calendar_entry(self):
         rule = self._rule()
         with pytest.raises(CalendarError):
