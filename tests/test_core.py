@@ -679,7 +679,7 @@ class TestPairSegments:
     # them until none is left to remove.
     @pytest.mark.parametrize("share", [None, 1, 0], ids=["default", "no-rounds", "all-rounds"])
     @given(case=_segmented())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_each_segment_equals_decompose(self, share, case):
         values, starts = case
         try:
