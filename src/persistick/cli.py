@@ -24,7 +24,7 @@ from .core import Decomposer, Decomposition, _pair_segments, decompose
 from .ingest import CalendarError, InstrumentSpec, RollRule, build_continuous, parse_ticks
 from .oracle import decomposition_digest, gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
 from .powerlaw import InsufficientTailError, _check_settings, fit, mle_count_exponent
-from .rolling import DAY_NS, WEEK_NS, RollingConfig, rolling_fit
+from .rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
 from .spectrum import histogram, spectrum
 
 __all__ = ["main"]
@@ -267,6 +267,23 @@ def _segments_agree(t: np.ndarray, v: np.ndarray, starts: np.ndarray) -> bool:
     return True
 
 
+def _windows_agree(
+    t: np.ndarray, v: np.ndarray, cfg: RollingConfig, points: list[RollingPoint]
+) -> bool:
+    """Each rolling_fit point equals decompose + fit of its window alone."""
+    for p in points:
+        a = int(np.searchsorted(t, p.window_end - cfg.window, "left"))
+        b = int(np.searchsorted(t, p.window_end, "right"))
+        dec = decompose(v[a:b], t[a:b])
+        try:
+            f, status = fit(dec, min_tail=cfg.min_tail), "ok"
+        except InsufficientTailError:
+            f, status = None, "insufficient_tail"
+        if p != RollingPoint(p.window_end, f, dec.pair_count, status):
+            return False
+    return True
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
     failures = stream_failures = segment_failures = 0
     rng_seeds = range(args.seed, args.seed + 40)
@@ -295,7 +312,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     est = mle_count_exponent(sizes, 10)
     fit_ok = abs(est - 3.0) < 0.1
     print(f"fit recovery: {'ok' if fit_ok else 'FAIL'} (estimate {est:.3f} for 3.0)")
-    if failures or stream_failures or segment_failures or not fit_ok:
+
+    # Overlapping windows, all fitted in one batch, each as if alone.
+    t, v = gen_random_walk(20_000, seed=args.seed, kind="gauss", sigma=10.0, dt=10**9)
+    cfg = RollingConfig(window=6_000 * 10**9, step=700 * 10**9)
+    points = rolling_fit(v, t, cfg)
+    windows_ok = _windows_agree(t, v, cfg, points)
+    print(f"fit batch equivalence: {'ok' if windows_ok else 'FAIL'} ({len(points)} windows)")
+    if failures or stream_failures or segment_failures or not (fit_ok and windows_ok):
         return 1
     return EXIT_OK
 

@@ -24,9 +24,12 @@ constants, the same comparisons and the same floating-point operations in
 the same order as the scalar routine, so each exponent is bit-identical to
 a separate scalar search.  The searches all start together, so the shared
 evaluation count, and the cap on it, mean the same for every candidate
-whichever sets share the batch.  The suffix counts and log-sums that feed
-the searches are built set by set, since a float cumulative sum across
-sets would round differently.
+whichever sets share the batch.  Their first two evaluations stand at
+the same exponent for every candidate, so there ``zeta`` is taken once per
+distinct cutoff; it is elementwise, so the bits are those of one value
+per candidate.  The suffix counts and log-sums that feed the searches are
+built set by set, since a float cumulative sum across sets would round
+differently.
 
 The KS distance of a candidate is the largest gap between empirical and
 model tail CDFs over its tail points, so the largest gap over any prefix
@@ -35,7 +38,14 @@ strictly above a distance already measured in full in their set cannot
 be its minimum and are dropped; every gap that is computed uses the same
 expression as a full pass, so the winner and its distance are the ones a
 full pass gives, earliest on ties.  Each pass evaluates ``zeta`` over the
-concatenated tail prefixes and takes segmented maxima.
+concatenated tail prefixes and takes segmented maxima.  How soon the
+others drop depends on the first candidate measured in full, the lead.
+Every eighth set is led by its lowest short-prefix bound; the sets between
+are led first by the cutoff that won in the nearest of those, since
+nearby sets such as overlapping windows often share a winner, and then
+need only the shortest prefixes.  A lead changes only the work, never the
+result, since whatever it is, every candidate kept is measured in full
+and every one dropped lies above a distance so measured.
 """
 
 from __future__ import annotations
@@ -69,8 +79,15 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 # Elements per batch of the concatenated KS tails, to bound memory.
 _KS_BLOCK = 1 << 18
-# Tail points per candidate in the first KS pass, before any is dropped.
-_KS_PROBE = 16
+# Tail points per candidate in the first KS pass, before any is dropped:
+# enough for the lowest bound to pick a good lead.
+_KS_PROBE = 8
+# The same where a neighbour's cutoff leads: its distance is measured
+# before the probe, so the shortest prefixes already drop most.
+_KS_LED_PROBE = 2
+# Every _KS_STRIDE-th set is searched first; each set between is led by
+# the cutoff that won in the nearest of them.
+_KS_STRIDE = 8
 # Elements per generated stretch of the amplitude's grid.
 _SUM_CHUNK = 1 << 16
 
@@ -110,9 +127,15 @@ def _mle_exponents(xmin: np.ndarray, n: np.ndarray, log_sum: np.ndarray) -> np.n
     closed-form continuous estimate, clamped to the bracket.
     """
     xmin, n, log_sum = (np.asarray(x, dtype=np.float64) for x in (xmin, n, log_sum))
+    cutoffs, which = np.unique(xmin, return_inverse=True)
 
     def neg_ll(b: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return n[k] * np.log(zeta(b, xmin[k])) + b * log_sum[k]
+        if k.size > cutoffs.size and (b == b[0]).all():
+            # One shared exponent: zeta is elementwise, so once per cutoff gives the same bits.
+            log_z = np.log(zeta(b[:1], cutoffs))[which[k]]
+        else:
+            log_z = np.log(zeta(b, xmin[k]))
+        return n[k] * log_z + b * log_sum[k]
 
     lo, hi = _BRACKET
     size = xmin.size
@@ -264,12 +287,26 @@ def _ks_distances(
     Candidate k fits the tail ms[starts[k]:stops[k]] of the concatenated
     size sets; the candidates of one set are consecutive and share stops.
     A distance is a maximum over tail points, so the maximum over any
-    prefix is an exact lower bound on it.  Every candidate first gets a
-    bound from its first _KS_PROBE points; the candidate of lowest bound in
-    each set is then measured in full, and candidates whose bound lies
-    strictly above their set's best full distance are dropped.  The others
-    grow their prefixes fourfold per pass until each is measured in full.
-    A NaN bound or NaN best distance drops nothing.
+    prefix is an exact lower bound on it.  Every candidate gets a bound
+    from a short prefix; the candidate of lowest bound in each set is then
+    measured in full, and candidates whose bound lies strictly above their
+    set's best full distance are dropped.  The others double their
+    prefixes per pass until each is measured in full.  A NaN bound or NaN
+    best distance drops nothing.
+
+    The sets are searched in two rounds.  Round 1 takes every
+    _KS_STRIDE-th set, from set 0, with prefixes of _KS_PROBE points.
+    Round 2 takes the rest.  It first measures in full each set's
+    candidate whose cutoff won in the nearest round-1 set, since nearby
+    sets such as overlapping windows often share a winner; a set without
+    that cutoff has no such lead.  Its prefixes are then _KS_LED_PROBE
+    points, and the lead's distance counts as a bound, so the lowest bound
+    is measured in full next only where a prefix lies below it.  A lead
+    decides only how soon the others are dropped, not the result: every
+    kept candidate is measured in full by the same expression and a
+    dropped one lies above a distance so measured, so the set's minimum,
+    earliest on ties, is the one a full pass gives whichever candidate
+    leads.
     """
     cum = np.concatenate(([0], np.cumsum(cs)))
     below, total = cum[starts], cum[stops]
@@ -279,6 +316,7 @@ def _ks_distances(
     group = np.repeat(np.arange(heads.size), np.diff(np.r_[heads, stops.size]))
     bound = np.full(starts.size, -np.inf)
     done = np.zeros_like(length)
+    alive = np.ones(starts.size, dtype=bool)
 
     def grow(k: np.ndarray, new: np.ndarray) -> None:
         i = starts[k]
@@ -286,19 +324,36 @@ def _ks_distances(
         bound[k] = np.maximum(bound[k], gaps)
         done[k] = new
 
-    grow(np.arange(starts.size), np.minimum(length, _KS_PROBE))
-    lead = np.lexsort((bound, group))[heads]  # lowest bound per set, earliest on ties
-    lead = lead[done[lead] < length[lead]]
-    grow(lead, length[lead])
-    alive = np.ones(starts.size, dtype=bool)
-    while True:
-        complete = done == length
-        best = np.minimum.reduceat(np.where(complete, bound, np.inf), heads)
-        alive &= ~(bound > best[group])
-        k = np.flatnonzero(alive & ~complete)
-        if not k.size:
-            return np.where(alive, bound, np.inf)
-        grow(k, np.minimum(length[k], 4 * done[k]))
+    def lowest(k: np.ndarray) -> np.ndarray:
+        """The candidate of lowest bound in each set among k, earliest on ties."""
+        k = k[np.lexsort((bound[k], group[k]))]
+        return k[np.diff(group[k], prepend=-1) != 0]
+
+    def search(sets: np.ndarray, lead: np.ndarray, probe: int) -> None:
+        """Measure in full or drop every candidate of the marked sets, lead first."""
+        mine = sets[group]
+        grow(lead, length[lead])
+        k = np.flatnonzero(mine & (done == 0))
+        grow(k, np.minimum(length[k], probe))
+        k = lowest(np.flatnonzero(mine))
+        k = k[done[k] < length[k]]
+        grow(k, length[k])
+        while True:
+            complete = done == length
+            best = np.minimum.reduceat(np.where(complete, bound, np.inf), heads)
+            alive[mine] &= ~(bound[mine] > best[group[mine]])
+            k = np.flatnonzero(mine & alive & ~complete)
+            if not k.size:
+                return
+            grow(k, np.minimum(length[k], 2 * done[k]))
+
+    first = np.arange(heads.size) % _KS_STRIDE == 0
+    search(first, np.empty(0, dtype=np.intp), _KS_PROBE)
+    # A round-1 set's lowest bound is its winner: a dropped bound lies above it.
+    won = ms[starts[lowest(np.flatnonzero(first[group]))]]
+    nearest = np.minimum((group + _KS_STRIDE // 2) // _KS_STRIDE, won.size - 1)
+    search(~first, np.flatnonzero(~first[group] & (ms[starts] == won[nearest])), _KS_LED_PROBE)
+    return np.where(alive, bound, np.inf)
 
 
 def ks_distance(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persistick import cli
+from persistick import cli, rolling
 from persistick.cli import _parse_duration, _parse_xmin_range, main
 from persistick.core import Decomposition, Sample, decompose
 from persistick.ingest import InstrumentSpec, build_continuous, parse_ticks, RollRule
@@ -719,6 +719,7 @@ class TestSelftest:
         assert "stream equivalence: ok (40 walks)" in out
         assert "segment equivalence: ok (40 walks)" in out
         assert "fit recovery: ok" in out
+        assert "fit batch equivalence: ok (20 windows)" in out
 
     def test_compares_pair_times(self, capsys, monkeypatch):
         # Same pair values, top values and variations; every time one later.
@@ -755,3 +756,18 @@ class TestSelftest:
         assert "oracle equivalence: ok (40 walks)" in out
         assert "stream equivalence: ok (40 walks)" in out
         assert "segment equivalence: FAIL (40 walks)" in out
+
+    def test_checks_the_batch_fit(self, capsys, monkeypatch):
+        # Every window's fit handed to its neighbour: only the batch fit check sees it.
+        batch = rolling.fit_many
+
+        def rotated(sets, **kw):
+            fits = batch(sets, **kw)
+            return [*fits[1:], fits[0]]
+
+        monkeypatch.setattr(rolling, "fit_many", rotated)
+        assert run("selftest") == 1
+        out = capsys.readouterr().out
+        assert "segment equivalence: ok (40 walks)" in out
+        assert "fit recovery: ok" in out
+        assert "fit batch equivalence: FAIL (20 windows)" in out

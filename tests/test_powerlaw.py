@@ -6,11 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
+from scipy.special import zeta
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_powerlaw as reference
 from persistick import powerlaw
+from persistick.core import decompose
 from persistick.oracle import gen_discrete_powerlaw, gen_random_walk
 from persistick.powerlaw import (
     InsufficientTailError,
@@ -21,7 +23,7 @@ from persistick.powerlaw import (
     mle_count_exponent,
 )
 from persistick.rolling import RollingConfig, rolling_fit
-from persistick.spectrum import SizeHistogram
+from persistick.spectrum import SizeHistogram, histogram
 
 
 class TestMLE:
@@ -453,3 +455,77 @@ class TestFitMany:
         pts = rolling_fit(values, times, RollingConfig(window=20_000 * 10**9, step=5_000 * 10**9))
         assert len(pts) == 16 and len(total) == 1
         assert sum(evaluated) < total[0] / 2
+
+
+class TestNeighbourLeads:
+    """Sets led by a nearby set's winning cutoff fit exactly as alone."""
+
+    @pytest.fixture(scope="class")
+    def windows(self) -> list[SizeHistogram]:
+        # Size histograms of 20 overlapping windows of one seeded walk.
+        _, values = gen_random_walk(60_000, seed=5, kind="gauss", sigma=10.0)
+        return [histogram(decompose(values[a : a + 20_000])) for a in range(0, 40_000, 2_000)]
+
+    def test_any_order_equals_fit_of_each_set(self, windows):
+        # The order decides which set leads which.
+        want = [fit(h) for h in windows]
+        shuffled = np.random.default_rng(0).permutation(len(windows)).tolist()
+        for order in (list(range(len(windows))), list(range(len(windows)))[::-1], shuffled):
+            assert fit_many([windows[i] for i in order]) == [want[i] for i in order]
+
+    @pytest.mark.parametrize("lead", ["missing", "largest"])
+    def test_set_with_a_missing_or_poor_lead_equals_fit(self, windows, lead):
+        # Set 1 is led by set 0's winning cutoff: absent from set 1, or its largest candidate.
+        won = fit(windows[0]).xmin
+        sizes = np.repeat(windows[1].sizes, windows[1].counts)
+        if lead == "missing":
+            sizes = sizes[sizes != won]
+        else:
+            sizes = np.concatenate((sizes[sizes < won], [won] * 60, [won + 1] * 60))
+        assert won in windows[0].sizes and (won in sizes) == (lead == "largest")
+        sets = [windows[0], sizes, *windows[2:4]]
+        assert fit_many(sets) == [fit(s) for s in sets]
+
+    def test_leads_cut_the_tail_points_evaluated(self, monkeypatch, windows):
+        evaluated = []
+        ks_gaps = powerlaw._ks_gaps
+
+        def counting_gaps(ms, cum, first, stop, *rest):
+            evaluated.append(int((stop - first).sum()))
+            return ks_gaps(ms, cum, first, stop, *rest)
+
+        monkeypatch.setattr(powerlaw, "_ks_gaps", counting_gaps)
+        led = fit_many(windows)
+        led_points = sum(evaluated)
+        evaluated.clear()
+        monkeypatch.setattr(powerlaw, "_KS_STRIDE", 1)  # every set led by its own probes
+        assert fit_many(windows) == led
+        assert led_points < 0.8 * sum(evaluated)
+
+
+class TestSharedCutoffs:
+    @pytest.mark.parametrize("maxfun", [2, 3, 500])
+    def test_repeated_cutoffs_give_the_bits_of_one_call_each(self, monkeypatch, maxfun):
+        # Tails of three sets: most cutoffs recur with other counts and log-sums.
+        lanes = []
+        for seed in range(3):
+            sizes = gen_discrete_powerlaw(2_000, 2.0 + seed / 3, 2, seed=60 + seed)
+            ms, cs = np.unique(sizes, return_counts=True)
+            n = np.cumsum(cs[::-1])[::-1]
+            log_sum = np.cumsum((cs * np.log(ms))[::-1])[::-1]
+            lanes += zip(ms[:-1].tolist(), n[:-1].tolist(), log_sum[:-1].tolist())
+        xmin, n, log_sum = (np.array(c, dtype=np.float64) for c in zip(*lanes))
+        assert np.unique(xmin).size < xmin.size
+        monkeypatch.setattr(powerlaw, "_MAXFUN", maxfun)
+        one_each = np.array([powerlaw._mle_exponents([x], [c], [s])[0] for x, c, s in lanes])
+        evaluated = []
+
+        def counting_zeta(b, x):
+            evaluated.append(np.broadcast(b, x).size)
+            return zeta(b, x)
+
+        monkeypatch.setattr(powerlaw, "zeta", counting_zeta)
+        together = powerlaw._mle_exponents(xmin, n, log_sum)
+        assert together.tobytes() == one_each.tobytes()
+        # The first two evaluations are shared: once per distinct cutoff.
+        assert evaluated[:2] == [np.unique(xmin).size] * 2

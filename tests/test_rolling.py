@@ -303,20 +303,25 @@ class TestCost:
     def test_each_sample_decomposed_about_once(self, monkeypatch, window, step, n_windows):
         times, values = gen_random_walk(50_000, seed=9, kind="gauss", dt=SECOND_NS)
         cfg = RollingConfig(window=window * SECOND_NS, step=step * SECOND_NS)
-        seen = []
+        seen, paired = [], []
 
         def counting_decompose(v, t=None):
             seen.append(len(v))
             return decompose(v, t)
 
+        def counting_kernel(v, starts):
+            paired.append(len(v))
+            return core._pair_segments(v, starts)
+
         monkeypatch.setattr(rolling, "decompose", counting_decompose)
         monkeypatch.setattr(core, "decompose", counting_decompose)
+        monkeypatch.setattr(rolling, "_pair_segments", counting_kernel)
         pts = rolling_fit(values, times, cfg)
         assert len(pts) == n_windows
-        # Each sample is decomposed once in its block; per window only the
-        # blocks' tops are decomposed again.
-        assert sum(seen) < 1.3 * values.size
-        # Both are peeled, and a walk never reaches the round cap.
+        # Each sample is paired once in its block; per window only the
+        # blocks' tops are paired again, in the kernel's second call.
+        assert len(paired) == 2 and sum(paired) < 1.3 * values.size
+        # Both calls go to the segmented kernel, never to decompose.
         assert seen == []
 
     def test_every_window_fitted_in_one_batch(self, monkeypatch):
