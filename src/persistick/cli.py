@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import secrets
 import sys
 from datetime import date
@@ -37,6 +38,8 @@ _HOUR_NS = 3600 * 10**9
 # Input files are UTF-8 whatever the locale; an undecodable byte becomes a lone
 # surrogate, which the ASCII-only row grammar rejects with its line number.
 _TEXT = {"newline": "", "encoding": "utf-8", "errors": "surrogateescape"}
+# The one expiry grammar of a calendar file, whatever date.fromisoformat takes.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _write_atomic(directory: str, files: dict[str, str | Iterable[str]]) -> None:
@@ -213,8 +216,11 @@ def cmd_continuous(args: argparse.Namespace) -> int:
             if not line:
                 continue
             cid, _, expiry = line.partition(",")
+            expiry = expiry.strip()
             try:
-                calendar.append((cid.strip(), date.fromisoformat(expiry.strip())))
+                if not _ISO_DATE.fullmatch(expiry):
+                    raise ValueError(f"expiry {expiry!r} is not YYYY-MM-DD")
+                calendar.append((cid.strip(), date.fromisoformat(expiry)))
             except ValueError as e:
                 raise ValueError(f"{args.calendar}: line {ln}: {e}") from None
     try:
@@ -237,8 +243,8 @@ def cmd_continuous(args: argparse.Namespace) -> int:
                 raise ValueError(f"{path}: {e}") from None
         series.append((cid, ticks))
     cont = build_continuous(series, rule)
-    rows = ["time,value_ticks"] + [f"{s.time},{s.value}" for s in cont]
-    _write_atomic(args.out, {"continuous.csv": "\n".join(rows) + "\n"})
+    rows = _format_rows("%d,%d\n", (cont.times, cont.values))
+    _write_atomic(args.out, {"continuous.csv": itertools.chain(["time,value_ticks\n"], rows)})
     return EXIT_OK
 
 

@@ -9,6 +9,10 @@ parse_ticks reads quote rows in blocks of lines with numpy, in int64
 integer arithmetic.  Rows outside the block grammar (and every row that
 is rejected) go through a per-row Fraction path, which is the reference
 the block path is tested against and the only source of error messages.
+
+build_continuous splices contracts on their int64 columns: searchsorted
+finds the two references at each roll, and one concatenation joins the
+shifted runs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import io
 import itertools
 import operator
 import re
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -28,7 +31,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Sample
+from .core import Sample, _as_int64
 
 __all__ = [
     "InstrumentSpec",
@@ -107,6 +110,7 @@ class RollRule:
     ) -> None:
         cal = tuple(calendar)
         months = frozenset(eligible_months)
+        days_before_expiry = operator.index(days_before_expiry)
         if days_before_expiry < 0:
             raise ValueError("days_before_expiry must be non-negative")
         outside = sorted(m for m in months if not 1 <= m <= 12)
@@ -119,8 +123,11 @@ class RollRule:
             if cid in seen:
                 raise CalendarError(f"contract {cid!r} appears twice in the roll calendar")
             seen.add(cid)
+        for (a, day), (b, next_day) in zip(cal, cal[1:]):
+            if day == next_day:
+                raise CalendarError(f"contracts {a!r} and {b!r} share the expiry {day}")
         object.__setattr__(self, "calendar", cal)
-        object.__setattr__(self, "days_before_expiry", int(days_before_expiry))
+        object.__setattr__(self, "days_before_expiry", days_before_expiry)
         object.__setattr__(self, "eligible_months", months)
 
     def roll_time_ns(self, expiry: date) -> int:
@@ -616,10 +623,15 @@ def _parse_ticks_by_row(
     return reader.result()
 
 
+def _search(t: np.ndarray, x: int, side: str) -> int:
+    """np.searchsorted(t, x, side) for int64 t, exact for a Python int x beyond int64."""
+    return int(np.searchsorted(t, x, side)) if _INT64_MIN <= x <= _INT64_MAX else (x > 0) * len(t)
+
+
 def build_continuous(
     contract_series: Sequence[tuple[str, Sequence[Sample]]],
     rule: RollRule,
-) -> list[Sample]:
+) -> TickSeries:
     """Splice per-contract series into one continuous tick series.
 
     Each eligible contract contributes quotes up to its roll time (expiry
@@ -627,52 +639,50 @@ def build_continuous(
     accumulated difference between the outgoing reference (last quote at or
     before the roll) and the incoming reference (first quote at or after
     it), so no splice introduces a price step and within-contract changes
-    are untouched.  No contracts give an empty series; contracts of which
-    none expires in an eligible month raise SpliceError.
+    are untouched.  Contracts are TickSeries or Sample sequences in int64;
+    a contract given twice or shifted outside int64 raises ValueError.  No
+    contracts give an empty series; contracts of which none expires in an
+    eligible month raise SpliceError.
     """
     expiries = dict(rule.calendar)
-    chain: list[tuple[str, Sequence[Sample], date]] = []
-    for cid, samples in contract_series:
+    chain: list[tuple[date, str, np.ndarray, np.ndarray]] = []
+    for k, (cid, ts) in enumerate(contract_series):
+        if any(cid == c for c, _ in contract_series[:k]):
+            raise ValueError(f"contract {cid!r} is given twice")
         if cid not in expiries:
             raise CalendarError(f"contract {cid!r} missing from the roll calendar")
-        expiry = expiries[cid]
-        if expiry.month not in rule.eligible_months:
+        if expiries[cid].month not in rule.eligible_months:
             continue
-        ss = list(samples)
-        if any(b.time < a.time for a, b in zip(ss, ss[1:])):
+        if not isinstance(ts, TickSeries):
+            ts = TickSeries([s.time for s in ts], [s.value for s in ts])
+        t = _as_int64(ts.times, f"contract {cid!r} times")
+        if np.any(t[1:] < t[:-1]):
             raise ValueError(f"contract {cid!r} samples are not sorted by time")
-        chain.append((cid, ss, expiry))
-    chain.sort(key=lambda c: c[2])
-    if not chain:
-        if contract_series:
-            months = ", ".join(map(str, sorted(rule.eligible_months)))
-            given = ", ".join(f"{cid} (month {expiries[cid].month})" for cid, _ in contract_series)
-            raise SpliceError(f"no contract expires in an eligible month ({months}); given {given}")
-        return []
+        chain.append((expiries[cid], cid, t, _as_int64(ts.values, f"contract {cid!r} values")))
+    chain.sort(key=lambda c: c[0])
+    if not chain and contract_series:
+        months = ", ".join(map(str, sorted(rule.eligible_months)))
+        given = ", ".join(f"{cid} (month {expiries[cid].month})" for cid, _ in contract_series)
+        raise SpliceError(f"no contract expires in an eligible month ({months}); given {given}")
 
-    out: list[Sample] = []
-    shift = 0
-    start_idx = 0
-    for i, (cid, ss, expiry) in enumerate(chain):
-        last = i == len(chain) - 1
-        if last:
-            retained = ss[start_idx:]
-        else:
-            roll_ns = rule.roll_time_ns(expiry)
-            end = bisect_right(ss, roll_ns, lo=start_idx, key=lambda s: s.time)
-            if end == start_idx:
-                raise SpliceError(
-                    f"no splice reference: contract {cid!r} has no quote at or before its roll"
-                )
-            retained = ss[start_idx:end]
-        out.extend(Sample(s.time, s.value + shift) for s in retained)
-        if not last:
-            nxt_cid, nxt_ss, _ = chain[i + 1]
-            in_idx = bisect_left(nxt_ss, roll_ns, key=lambda s: s.time)
-            if in_idx == len(nxt_ss):
+    parts = [(np.zeros(0, dtype=np.int64),) * 2]  # (times, values) of each retained run
+    shift = start = 0
+    for (expiry, cid, t, v), (_, nxt_cid, nxt_t, nxt_v) in zip(chain, [*chain[1:], (None,) * 4]):
+        end = len(t) if nxt_t is None else _search(t, rule.roll_time_ns(expiry), "right")
+        if nxt_t is not None and end == start:
+            raise SpliceError(
+                f"no splice reference: contract {cid!r} has no quote at or before its roll"
+            )
+        seg = v[start:end]  # not empty once shift is set
+        if shift and (int(seg.min()) + shift < _INT64_MIN or int(seg.max()) + shift > _INT64_MAX):
+            raise ValueError(f"contract {cid!r} shifted by {shift} leaves the int64 range")
+        # shift may itself leave int64, so it is added mod 2**64: exact, as just checked.
+        parts.append((t[start:end], seg + ((shift - _INT64_MIN) % 2**64 + _INT64_MIN)))
+        if nxt_t is not None:
+            start = _search(nxt_t, rule.roll_time_ns(expiry), "left")
+            if start == len(nxt_t):
                 raise SpliceError(
                     f"no splice reference: contract {nxt_cid!r} has no quote at or after the roll"
                 )
-            shift += retained[-1].value - nxt_ss[in_idx].value
-            start_idx = in_idx
-    return out
+            shift += int(v[end - 1]) - int(nxt_v[start])
+    return TickSeries(*map(np.concatenate, zip(*parts)))

@@ -22,6 +22,7 @@ from persistick.oracle import gen_random_walk
 from persistick.powerlaw import fit
 from persistick.rolling import DAY_NS, WEEK_NS
 
+DATA = Path(__file__).parent / "data"
 REFERENCE_VALUES = [3, 6, 0, 7, 2, 5, 4, 8]
 
 
@@ -427,7 +428,8 @@ class TestRolling:
 
 
 class TestContinuous:
-    def test_matches_library_splice(self, tmp_path):
+    def _three_contracts(self, tmp_path):
+        """H24, M24 and U24 price files and their calendar; the arguments of `continuous`."""
         day = 86_400 * 10**9
         r1 = 1709942400 * 10**9  # 2024-03-09T00:00:00Z
         r2 = 1718409600 * 10**9  # 2024-06-15T00:00:00Z
@@ -450,13 +452,16 @@ class TestContinuous:
         )
         cal = tmp_path / "calendar.csv"
         cal.write_text("H24,2024-03-15\nM24,2024-06-21\nU24,2024-09-20\n")
-
-        rc = run(
+        return (a, b, c), [
             "continuous",
             f"H24={a}", f"M24={b}", f"U24={c}",
             "--tick", "0.01", "--columns", "time,price",
             "--calendar", str(cal), "--out", str(tmp_path),
-        )
+        ]
+
+    def test_matches_library_splice(self, tmp_path):
+        (a, b, c), argv = self._three_contracts(tmp_path)
+        rc = run(*argv)
         assert rc == 0
         lines = (tmp_path / "continuous.csv").read_text().splitlines()
         assert lines[0] == "time,value_ticks"
@@ -475,6 +480,41 @@ class TestContinuous:
             ]
         )
         assert got == build_continuous(series, rule)
+
+    def test_three_contract_bytes(self, tmp_path):
+        _, argv = self._three_contracts(tmp_path)
+        assert run(*argv) == 0
+        assert (tmp_path / "continuous.csv").read_bytes() == (
+            b"time,value_ticks\n"
+            b"1709769600000000000,10000\n"
+            b"1709856000000000000,10004\n"
+            b"1709942400000000000,10003\n"
+            b"1709942400000000000,10003\n"
+            b"1710028800000000000,10005\n"
+            b"1718409600000000000,10006\n"
+            b"1718409600000000000,10006\n"
+            b"1718496000000000000,10004\n"
+            b"1718582400000000000,10009\n"
+        )
+
+    def test_golden_file(self, tmp_path):
+        # CI runs the installed console script on the same files and cmp's the result.
+        rc = run(
+            "continuous",
+            f"H24={DATA / 'continuous_h24.csv'}", f"M24={DATA / 'continuous_m24.csv'}",
+            "--calendar", str(DATA / "continuous_calendar.csv"),
+            "--tick", "0.25", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        got = (tmp_path / "continuous.csv").read_bytes()
+        assert got == (DATA / "continuous_expected.csv").read_bytes()
+
+    def test_contract_given_twice(self, tmp_path, capsys):
+        (a, b, c), argv = self._three_contracts(tmp_path)
+        rc = run(*argv[:2], f"H24={c}", *argv[2:])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: contract 'H24' is given twice\n"
+        assert not (tmp_path / "continuous.csv").exists()
 
     def test_bad_contract_argument(self, tmp_path, capsys):
         cal = tmp_path / "calendar.csv"
@@ -516,7 +556,17 @@ class TestContinuous:
         assert rc == 2
         assert f"error: {b}: line 2: bad price field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["M24", "M24,2024-06-32", b"M24,2024-06-2\xff"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "M24",
+            "M24,2024-06-32",
+            b"M24,2024-06-2\xff",
+            # Python 3.11's date.fromisoformat takes these two, and 3.10's does not.
+            "M24,20240621",
+            "M24,2024-W25-5",
+        ],
+    )
     def test_calendar_error_names_the_file_and_line(self, tmp_path, capsys, line):
         src = tmp_path / "h24.csv"
         src.write_text("0,1.00\n")
@@ -536,8 +586,12 @@ class TestContinuous:
         [
             ("M24,2024-06-21\nH24,2024-03-15\n", "calendar must be sorted by expiry date"),
             ("H24,2024-03-15\nH24,2024-06-21\n", "contract 'H24' appears twice in the roll calendar"),
+            (
+                "H24,2024-03-15\nX24,2024-03-15\n",
+                "contracts 'H24' and 'X24' share the expiry 2024-03-15",
+            ),
         ],
-        ids=["unsorted", "repeated"],
+        ids=["unsorted", "repeated", "shared-expiry"],
     )
     def test_calendar_order_error_names_the_file(self, tmp_path, capsys, rows, message):
         src = tmp_path / "h24.csv"

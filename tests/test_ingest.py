@@ -5,6 +5,7 @@ from __future__ import annotations
 import calendar as _cal
 import csv
 import io
+import random
 from datetime import date, datetime, timedelta, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_continuous import build_continuous_by_sample
 
 from persistick import ingest
 from persistick.core import Sample, total_variation
@@ -34,6 +36,7 @@ from persistick.ingest import (
 
 DATA = Path(__file__).parent / "data"
 DAY_NS = 86_400 * 10**9
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 class TestQuantize:
@@ -523,9 +526,31 @@ class TestRollRule:
         rule = RollRule([("H", date(2024, 3, 15))], eligible_months=range(1, 13))
         assert rule.eligible_months == frozenset(range(1, 13))
 
+    def test_shared_expiry_rejected(self):
+        # Otherwise the splice of H and X would depend on their input order.
+        d = date(2024, 3, 15)
+        message = "^contracts 'H' and 'X' share the expiry 2024-03-15$"
+        with pytest.raises(CalendarError, match=message):
+            RollRule([("Z", date(2023, 12, 15)), ("H", d), ("X", d)])
+
+    @pytest.mark.parametrize("days", [6.7, 6.0, "6"])
+    def test_days_must_be_an_integer(self, days):
+        with pytest.raises(TypeError):
+            RollRule([], days_before_expiry=days)
+
+    def test_integer_days_kept(self):
+        assert RollRule([], days_before_expiry=np.int64(3)).days_before_expiry == 3
+
 
 def _mk(times_values):
     return [Sample(t, v) for t, v in times_values]
+
+
+def _ts(samples):
+    return TickSeries(
+        np.array([s.time for s in samples], dtype=np.int64),
+        np.array([s.value for s in samples], dtype=np.int64),
+    )
 
 
 class TestBuildContinuous:
@@ -665,3 +690,139 @@ class TestBuildContinuous:
         bad = _mk([(10, 1), (5, 2)])
         with pytest.raises(ValueError):
             build_continuous([("U24", bad)], rule)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_returns_int64_columns(self, columnar):
+        rule, _, _, a, b, c = self._three_contracts()
+        given = [("H24", a), ("M24", b), ("U24", c)]
+        out = build_continuous([(cid, _ts(x) if columnar else x) for cid, x in given], rule)
+        assert isinstance(out, TickSeries)
+        assert out.times.dtype == out.values.dtype == np.int64
+        assert out == build_continuous_by_sample(given, rule)
+
+    @pytest.mark.parametrize("contract", [[], _ts([])])
+    def test_single_empty_contract(self, contract):
+        out = build_continuous([("U24", contract)], self._rule())
+        assert isinstance(out, TickSeries)
+        assert out == [] and out.times.dtype == out.values.dtype == np.int64
+
+    @pytest.mark.parametrize("first", ["H24", "M24"])
+    def test_contract_given_twice(self, first):
+        # Both H24 series used to be chained at one roll, repeating its sample.
+        rule, _, _, a, b, c = self._three_contracts()
+        given = [("H24", a), ("M24", b), ("U24", c), (first, a)]
+        with pytest.raises(ValueError, match=f"^contract '{first}' is given twice$"):
+            build_continuous(given, rule)
+
+    def _two_at(self, out_value, in_values):
+        """H24 ends on out_value at its roll; M24 starts there with in_values."""
+        rule = self._rule()
+        r1 = rule.roll_time_ns(date(2024, 3, 15))
+        a = _mk([(r1 - DAY_NS, 0), (r1, out_value)])
+        b = _mk([(r1 + i, v) for i, v in enumerate(in_values)])
+        return [("H24", a), ("M24", b)], rule
+
+    @pytest.mark.parametrize(
+        "out_value, in_values",
+        [
+            (INT64_MAX, [0, 0, -5]),  # shifted by 2**63 - 1 up to the top of int64
+            (INT64_MIN, [0, 7, 0]),  # shifted down to the bottom
+            (INT64_MIN, [1, 2, 1]),  # the shift, -2**63 - 1, is itself outside int64
+            (INT64_MAX, [-1, -1, -3]),  # and here +2**63
+        ],
+    )
+    def test_shift_just_inside_int64(self, out_value, in_values):
+        given, rule = self._two_at(out_value, in_values)
+        for cols in (False, True):
+            out = build_continuous([(cid, _ts(x) if cols else x) for cid, x in given], rule)
+            shift = out_value - in_values[0]
+            assert out.values.tolist() == [0, out_value, *(v + shift for v in in_values)]
+
+    @pytest.mark.parametrize(
+        "out_value, in_values",
+        [(INT64_MAX, [0, 1]), (INT64_MIN, [0, -1]), (INT64_MIN, [1, 0]), (INT64_MAX, [-1, 0])],
+    )
+    def test_shift_just_outside_int64(self, out_value, in_values):
+        given, rule = self._two_at(out_value, in_values)
+        shift = out_value - in_values[0]
+        message = f"^contract 'M24' shifted by {shift} leaves the int64 range$"
+        for cols in (False, True):
+            with pytest.raises(ValueError, match=message):
+                build_continuous([(cid, _ts(x) if cols else x) for cid, x in given], rule)
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([1.5], TypeError, "contract 'U24' values must be integers"),
+            ([2**63], ValueError, "contract 'U24' values must lie in the int64 range"),
+        ],
+    )
+    def test_values_meet_the_int64_gate(self, values, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build_continuous([("U24", [Sample(0, v) for v in values])], self._rule())
+
+    def test_roll_beyond_int64_times(self):
+        # Rolls after 2262-04-11 lie past every int64 time, also the largest.
+        rule = RollRule([("H", date(2262, 6, 15)), ("M", date(2262, 9, 15))])
+        a = _mk([(INT64_MAX - 1, 5), (INT64_MAX, 6)])
+        b = _mk([(INT64_MAX, 1)])
+        with pytest.raises(SpliceError, match="contract 'M' has no quote at or after"):
+            build_continuous([("H", a), ("M", b)], rule)
+        early = RollRule([("H", date(1677, 3, 15)), ("M", date(1677, 6, 15))])
+        with pytest.raises(SpliceError, match="contract 'H' has no quote at or before"):
+            build_continuous([("H", _mk([(INT64_MIN, 5)])), ("M", b)], early)
+
+
+def _splice_outcome(f):
+    """f()'s result as a list of Samples, or the type and message of what it raised."""
+    try:
+        return list(f())
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _splices(draw):
+    """Contracts, each a sorted list of Samples (ties, empties), with a calendar and rule.
+
+    Expiries fall from late March to early April 2024, with quotes every
+    half day around their rolls, so a roll meets quotes, ties and gaps on
+    both sides.  Rarely a contract is empty, unsorted or left out of the
+    calendar, to reach every error path.
+    """
+    # Seeded, because hypothesis draws lean to their bounds and rare cases would be common.
+    rarely = random.Random(draw(st.integers(0, 2**32))).random
+    ids = draw(st.permutations(["H24", "J24", "K24", "M24", "N24"]))[: draw(st.integers(1, 5))]
+    days = draw(st.lists(st.integers(0, 10), min_size=len(ids), max_size=len(ids), unique=True))
+    expiries = [date(2024, 3, 26) + timedelta(days=d) for d in days]
+    calendar = sorted(zip(ids, expiries), key=lambda e: e[1])
+    if rarely() < 0.05:
+        calendar.pop(draw(st.integers(0, len(calendar) - 1)))
+    rule = RollRule(
+        calendar,
+        days_before_expiry=draw(st.integers(0, 3)),
+        eligible_months=draw(st.sampled_from([{3, 4}] * 6 + [{3}, {4}, {5}])),
+    )
+    half_day = DAY_NS // 2
+    base = rule.roll_time_ns(date(2024, 3, 26)) - 4 * half_day
+    contracts = []
+    for cid in ids:
+        least = 0 if rarely() < 0.05 else 6
+        steps = draw(st.lists(st.integers(0, 28), min_size=least, max_size=16))
+        if rarely() > 0.03:
+            steps.sort()
+        times = [base + k * half_day for k in steps]
+        values = draw(st.lists(st.integers(-50, 50), min_size=len(times), max_size=len(times)))
+        contracts.append((cid, _mk(zip(times, values))))
+    return contracts, rule
+
+
+class TestColumnarSplice:
+    @given(_splices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_sample_splice(self, case):
+        contracts, rule = case
+        want = _splice_outcome(lambda: build_continuous_by_sample(contracts, rule))
+        assert _splice_outcome(lambda: build_continuous(contracts, rule)) == want
+        columnar = [(cid, _ts(x)) for cid, x in contracts]
+        assert _splice_outcome(lambda: build_continuous(columnar, rule)) == want
