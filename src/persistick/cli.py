@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import Decomposer, Decomposition, _pair_segments, decompose
-from .ingest import CalendarError, InstrumentSpec, RollRule, build_continuous, parse_ticks
+from .ingest import CalendarError, InstrumentSpec, RollRule, _contract_expiries, build_continuous
+from .ingest import parse_ticks
 from .oracle import decomposition_digest, gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
 from .powerlaw import InsufficientTailError, _check_settings, fit, mle_count_exponent
 from .rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
@@ -231,11 +232,16 @@ def cmd_continuous(args: argparse.Namespace) -> int:
         )
     except CalendarError as e:
         raise CalendarError(f"{args.calendar}: {e}") from None
-    series = []
+    contracts = []
     for item in args.contracts:
         cid, _, path = item.partition("=")
         if not path:
             raise ValueError(f"contract argument {item!r} must be ID=FILE")
+        contracts.append((cid, path))
+    # Every ID is checked against the calendar before any file is read.
+    list(_contract_expiries((cid for cid, _ in contracts), rule))
+    series = []
+    for cid, path in contracts:
         with open(path, **_TEXT) as f:
             try:
                 ticks = parse_ticks(f, spec, columns=args.columns, delimiter=args.delimiter)

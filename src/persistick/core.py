@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 
+_INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
@@ -135,6 +136,13 @@ def _exact_sum(a: np.ndarray) -> int:
     if a.dtype == np.int64 and a.size * int(a.max(initial=0)) <= _INT64_MAX:
         return int(a.sum())
     return sum(a.tolist())
+
+
+def _check_variation(tv_totals: Iterable[int]) -> None:
+    """ValueError naming the first of the exact total variations that leaves int64."""
+    for tv in tv_totals:
+        if tv > _INT64_MAX:
+            raise ValueError(f"total variation {tv} is more than int64 holds")
 
 
 def _as_times(times: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -421,14 +429,6 @@ class _Segments(NamedTuple):
         return np.abs(self.ev[self.same] - self.ev[self.other])
 
 
-def _segment_sums(x: np.ndarray, cuts: np.ndarray) -> list[int]:
-    """Exact sums of the non-negative int64 x over each [cuts[k], cuts[k + 1])."""
-    if x.size * int(x.max(initial=0)) <= _INT64_MAX:
-        c = np.concatenate(([0], np.cumsum(x)))
-        return (c[cuts[1:]] - c[cuts[:-1]]).tolist()
-    return [_exact_sum(x[a:b]) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-
-
 def _pair_segments(values: np.ndarray, starts: np.ndarray) -> _Segments:
     """decompose's pairs, top and total variation for each segment of an int64 series.
 
@@ -473,11 +473,9 @@ def _pair_segments(values: np.ndarray, starts: np.ndarray) -> _Segments:
     # one appended after the last extremum.
     d = np.abs(np.diff(ev, append=ev[-1:]))
     d[cuts[cuts > 0] - 1] = 0
-    tv_total = _segment_sums(d, cuts)
+    tv_total = [_exact_sum(d[a:b]) for a, b in zip(cuts, cuts[1:])]
     del d
-    over = [tv for tv in tv_total if tv > _INT64_MAX]
-    if over:
-        raise ValueError(f"total variation {over[0]} is more than int64 holds")
+    _check_variation(tv_total)
     return _Segments(ext, ev, *_pair_extrema(ev, cuts), tv_total)
 
 

@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Sample, _as_int64
+from .core import _INT64_MAX, _INT64_MIN, Sample, _as_int64
 
 __all__ = [
     "InstrumentSpec",
@@ -131,7 +131,14 @@ class RollRule:
         object.__setattr__(self, "eligible_months", months)
 
     def roll_time_ns(self, expiry: date) -> int:
-        roll_day = expiry - timedelta(days=self.days_before_expiry)
+        """Midnight UTC of the roll day; CalendarError if that day is before 0001-01-01."""
+        try:
+            roll_day = expiry - timedelta(days=self.days_before_expiry)
+        except OverflowError:
+            raise CalendarError(
+                f"the roll day {self.days_before_expiry} days before the expiry {expiry}"
+                " is before 0001-01-01"
+            ) from None
         dt = datetime(roll_day.year, roll_day.month, roll_day.day, tzinfo=timezone.utc)
         return _datetime_ns(dt)
 
@@ -152,9 +159,6 @@ def _datetime_ns(dt: datetime) -> int:
     delta = dt - _EPOCH
     return (delta.days * 86400 + delta.seconds) * 10**9 + delta.microseconds * 1000
 
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 # The per-row grammar, on stripped text: ASCII digits only, so "1/3",
 # "1_0.5", "1e1" and non-ASCII digits are rejected rather than read.
@@ -628,6 +632,23 @@ def _search(t: np.ndarray, x: int, side: str) -> int:
     return int(np.searchsorted(t, x, side)) if _INT64_MIN <= x <= _INT64_MAX else (x > 0) * len(t)
 
 
+def _contract_expiries(cids: Iterable[str], rule: RollRule) -> Iterator[date]:
+    """Each contract's expiry, checked one ID at a time as the caller draws it.
+
+    ValueError for an ID given twice, CalendarError for one missing from the
+    roll calendar.
+    """
+    expiries = dict(rule.calendar)
+    seen: set[str] = set()
+    for cid in cids:
+        if cid in seen:
+            raise ValueError(f"contract {cid!r} is given twice")
+        if cid not in expiries:
+            raise CalendarError(f"contract {cid!r} missing from the roll calendar")
+        seen.add(cid)
+        yield expiries[cid]
+
+
 def build_continuous(
     contract_series: Sequence[tuple[str, Sequence[Sample]]],
     rule: RollRule,
@@ -646,19 +667,17 @@ def build_continuous(
     """
     expiries = dict(rule.calendar)
     chain: list[tuple[date, str, np.ndarray, np.ndarray]] = []
-    for k, (cid, ts) in enumerate(contract_series):
-        if any(cid == c for c, _ in contract_series[:k]):
-            raise ValueError(f"contract {cid!r} is given twice")
-        if cid not in expiries:
-            raise CalendarError(f"contract {cid!r} missing from the roll calendar")
-        if expiries[cid].month not in rule.eligible_months:
+    checked = _contract_expiries((cid for cid, _ in contract_series), rule)
+    # zip checks each contract's ID just before its samples.
+    for (cid, ts), expiry in zip(contract_series, checked):
+        if expiry.month not in rule.eligible_months:
             continue
         if not isinstance(ts, TickSeries):
             ts = TickSeries([s.time for s in ts], [s.value for s in ts])
         t = _as_int64(ts.times, f"contract {cid!r} times")
         if np.any(t[1:] < t[:-1]):
             raise ValueError(f"contract {cid!r} samples are not sorted by time")
-        chain.append((expiries[cid], cid, t, _as_int64(ts.values, f"contract {cid!r} values")))
+        chain.append((expiry, cid, t, _as_int64(ts.values, f"contract {cid!r} values")))
     chain.sort(key=lambda c: c[0])
     if not chain and contract_series:
         months = ", ".join(map(str, sorted(rule.eligible_months)))

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, _as_int64, _as_times, _pair_segments, _segment_sums, decompose
+from .core import _as_int64, _as_times, _check_variation, _exact_sum, _pair_segments, decompose
 from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, _check_settings, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
 from .spectrum import histogram
@@ -91,9 +91,9 @@ def rolling_fit(
     to the window.  A window whose movements cannot satisfy the fit's tail
     requirement yields status "insufficient_tail" and fit None.  Times
     must be integers (TypeError) in the int64 range (ValueError) that never
-    decrease (StreamOrderError).  Each block's values meet the integer gate
-    as a slice of the caller's own sequence; if batch decompose rejects a
-    window, the earliest such window's standalone decompose error is raised.
+    decrease (StreamOrderError).  If the values up to the last window's end
+    fail the integer gate, or batch decompose rejects a window, the earliest
+    such window's standalone decompose error is raised.
     """
     if cfg is None:
         cfg = RollingConfig()
@@ -118,11 +118,8 @@ def rolling_fit(
     first = np.searchsorted(cuts, lo)
     past = np.searchsorted(cuts, hi)
     try:
-        # Each block meets the integer gate with the caller's own items.
-        blocks = _pair_segments(
-            np.concatenate([_as_int64(values[a:b], "values") for a, b in zip(cuts[:-1], cuts[1:])]),
-            cuts[:-1] - cuts[0],
-        )
+        # cuts[0] is 0, and as step <= window every sample before cuts[-1] is in a window.
+        blocks = _pair_segments(_as_int64(values[: cuts[-1]], "values"), cuts[:-1])
         tops, tc = blocks.ev[blocks.top], blocks.top_cuts
         block_sizes, sc = blocks.sizes(), blocks.pair_cuts
         del blocks  # so the blocks' extrema are not held through the merges and the fit
@@ -130,15 +127,13 @@ def rolling_fit(
         merges = _pair_segments(np.concatenate(joined), np.cumsum([0] + [j.size for j in joined[:-1]]))
         merge_sizes, mc = merges.sizes(), merges.pair_cuts
         # A window's variation is its joined tops' plus what its blocks' pairs carry.
-        paired = [0, *accumulate(2 * s for s in _segment_sums(block_sizes, sc))]
-        for w, (f, p) in enumerate(zip(first.tolist(), past.tolist())):
-            tv_total = merges.tv_total[w] + paired[p] - paired[f]
-            if tv_total > _INT64_MAX:
-                raise ValueError(f"total variation {tv_total} is more than int64 holds")
-    except ValueError:
-        # A block, a window's tops or its summed variation left int64, so
-        # the window does too.  Raise what the earliest such window's
-        # decompose raises.
+        paired = [0, *accumulate(2 * _exact_sum(block_sizes[a:b]) for a, b in zip(sc, sc[1:]))]
+        _check_variation(
+            tv + paired[p] - paired[f] for tv, f, p in zip(merges.tv_total, first, past)
+        )
+    except (TypeError, ValueError):
+        # A sample is no int64 integer, or a window's spread or variation is
+        # beyond int64: raise what the earliest failing window's decompose does.
         for a, b in zip(lo.tolist(), hi.tolist()):
             decompose(values[a:b], t[a:b])
         raise

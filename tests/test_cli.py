@@ -231,25 +231,19 @@ class TestDecompose:
         assert (tmp_path / "pairs.csv").read_text() == "t_min,v_min,t_max,v_max,size\n"
         assert (tmp_path / "top.csv").read_text() == "time,value,kind\n"
 
-    # sha256 of decompose's outputs on the 1k-row fixture, as the
-    # row-by-row Fraction parser and PersistentPair writer produced them.
-    FIXTURE_SHA256 = {
-        "pairs.csv": "1b58d7b5ab057e2f6bc1274ea2392b0d0138a6f564d20d11ed3cee51969e3778",
-        "top.csv": "e373c3a212589de96dd3cf39b4beb29c8dca8044af43323f76f6707e2f8a221e",
-        "summary.csv": "e19868770d51529f7f3932c891a4251b829c5e0c2504e5cf902b30fc7bd9138f",
-        "decompose.json": "05893939f24e507831338be21129a03a35cd88dea40f5b9afab2f03eb361fcef",
-    }
-
     def test_fixture_outputs_pinned(self, tmp_path):
-        src = Path(__file__).parent / "data" / "quotes_1k.csv"
+        # sha256 of decompose's outputs on the 1k-row fixture, as the row-by-row
+        # Fraction parser and PersistentPair writer produced them; CI checks the
+        # installed script's outputs against the same file with sha256sum -c.
+        data = Path(__file__).parent / "data"
+        lines = (data / "quotes_1k_decompose.sha256").read_text().splitlines()
+        want = {name: digest for digest, name in map(str.split, lines)}
+        assert sorted(want) == ["decompose.json", "pairs.csv", "summary.csv", "top.csv"]
         for fmt in ("csv", "json"):
-            argv = ["decompose", str(src), "--tick", "0.01", "--format", fmt]
+            argv = ["decompose", str(data / "quotes_1k.csv"), "--tick", "0.01", "--format", fmt]
             assert run(*argv, "--out", str(tmp_path)) == 0
-        got = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in self.FIXTURE_SHA256
-        }
-        assert got == self.FIXTURE_SHA256
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+        assert got == want
 
     def test_pair_rows_written_in_slices_keep_their_bytes(self, tmp_path, monkeypatch):
         src = Path(__file__).parent / "data" / "quotes_1k.csv"
@@ -515,6 +509,50 @@ class TestContinuous:
         assert rc == 2
         assert capsys.readouterr().err == "error: contract 'H24' is given twice\n"
         assert not (tmp_path / "continuous.csv").exists()
+
+    @pytest.mark.parametrize(
+        "cid, message",
+        [
+            ("Z99", "contract 'Z99' missing from the roll calendar"),
+            ("H24", "contract 'H24' is given twice"),
+        ],
+        ids=["missing", "repeated"],
+    )
+    def test_contract_ids_checked_before_any_file_is_read(self, tmp_path, capsys, cid, message):
+        _, argv = self._three_contracts(tmp_path)
+        rc = run(*argv[:4], f"{cid}={tmp_path / 'no-such-file.csv'}", *argv[4:])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "calendar, flags, expiry, days",
+        [
+            ("H24,0001-01-03\nM24,0001-06-20\n", ["--months", "1,6"], "0001-01-03", 6),
+            (
+                "H24,2024-03-15\nM24,2024-06-21\n",
+                ["--days-before-expiry", "10000000000"],
+                "2024-03-15",
+                10**10,
+            ),
+        ],
+        ids=["early-expiry", "many-days"],
+    )
+    def test_roll_day_before_year_one(self, tmp_path, capsys, calendar, flags, expiry, days):
+        a, b = tmp_path / "h24.csv", tmp_path / "m24.csv"
+        a.write_text("0,1.00\n1,1.01\n")
+        b.write_text("0,1.00\n1,1.02\n")
+        cal = tmp_path / "calendar.csv"
+        cal.write_text(calendar)
+        argv = ["--tick", "0.01", "--columns", "time,price", "--calendar", str(cal), *flags]
+        rc = run("continuous", f"H24={a}", f"M24={b}", *argv, "--out", str(tmp_path))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: the roll day {days} days before the expiry {expiry} is before 0001-01-01\n"
+        )
+        assert not (tmp_path / "continuous.csv").exists()
+        # One contract has no roll, so the same rule splices it.
+        assert run("continuous", f"H24={a}", *argv, "--out", str(tmp_path)) == 0
+        assert (tmp_path / "continuous.csv").read_text() == "time,value_ticks\n0,100\n1,101\n"
 
     def test_bad_contract_argument(self, tmp_path, capsys):
         cal = tmp_path / "calendar.csv"

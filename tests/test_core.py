@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import types
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -695,6 +696,32 @@ class TestPairSegments:
                 mp.setattr(core, "_ROUND_MIN_SHARE", share)
             seg = _pair_segments(values, np.array(starts))
         _assert_segments_equal_decompose(values, starts, seg)
+
+    # Swings of 2**61: the whole series' size * max swing leaves int64, while
+    # each segment's fits; then one segment's leaves int64, though its sum fits.
+    @pytest.mark.parametrize(
+        "values, starts",
+        [
+            ([0, 2**61] * 5, [0, 2, 4, 6, 8]),
+            ([0, 2**61, 0, 2**61, 5, 1, 2, 0], [0, 4, 6]),
+        ],
+        ids=["series", "segment"],
+    )
+    def test_segment_variation_exact(self, values, starts):
+        values = np.array(values, dtype=np.int64)
+        seg = _pair_segments(values, np.array(starts))
+        pieces = [values[a:b].tolist() for a, b in pairwise([*starts, values.size])]
+        exact = [sum(abs(y - x) for x, y in pairwise(piece)) for piece in pieces]
+        assert seg.tv_total == exact
+        assert all(type(tv) is int for tv in seg.tv_total)
+        _assert_segments_equal_decompose(values, starts, seg)
+
+    def test_variation_limit_is_int64_max(self):
+        h = 2**62
+        values = np.array([0, h, 1, 0, h, 0], dtype=np.int64)  # variations 2**63 - 1 and 2**63
+        assert _pair_segments(values[:3], np.array([0])).tv_total == [2**63 - 1]
+        with pytest.raises(ValueError, match=f"^total variation {2**63} is more than int64 holds$"):
+            _pair_segments(values, np.array([0, 3]))
 
     def test_spirals_go_to_the_residue_sweep(self, monkeypatch):
         # Each round can remove only a spiral's innermost swing.

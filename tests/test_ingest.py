@@ -508,6 +508,19 @@ class TestRollRule:
         with pytest.raises(ValueError):
             RollRule([("H", date(2024, 3, 15))], days_before_expiry=-1)
 
+    @pytest.mark.parametrize(
+        "expiry, days", [(date(1, 1, 3), 6), (date(1, 1, 1), 1), (date(2024, 3, 15), 10**10)]
+    )
+    def test_roll_day_before_year_one(self, expiry, days):
+        rule = RollRule([("H", expiry)], days_before_expiry=days)
+        message = f"^the roll day {days} days before the expiry {expiry} is before 0001-01-01$"
+        with pytest.raises(CalendarError, match=message):
+            rule.roll_time_ns(expiry)
+
+    def test_roll_day_on_year_one(self):
+        rule = RollRule([("H", date(1, 1, 7))], days_before_expiry=6)
+        assert rule.roll_time_ns(date(1, 1, 7)) == -62_135_596_800 * 10**9  # 0001-01-01T00:00Z
+
     def test_default_eligible_months(self):
         rule = RollRule([("H", date(2024, 3, 15))])
         assert rule.eligible_months == frozenset({3, 6, 9, 12})
@@ -559,6 +572,14 @@ class TestBuildContinuous:
         ("M24", date(2024, 6, 21)),
         ("U24", date(2024, 9, 20)),
     ]
+
+    def test_roll_day_before_year_one(self):
+        rule = RollRule([("H01", date(1, 1, 3)), ("M01", date(1, 6, 20))], eligible_months=(1, 6))
+        series = [("H01", _mk([(0, 1), (1, 2)])), ("M01", _mk([(0, 3), (1, 4)]))]
+        with pytest.raises(CalendarError, match="the expiry 0001-01-03 is before 0001-01-01$"):
+            build_continuous(series, rule)
+        # A single contract has no roll, so its roll day is never computed.
+        assert build_continuous(series[:1], rule) == [Sample(0, 1), Sample(1, 2)]
 
     def _rule(self):
         return RollRule(self.CAL, days_before_expiry=6)

@@ -238,6 +238,9 @@ class TestErrors:
         "float": np.arange(24, dtype=np.float64),
         # a list numpy reads as object, and some of its blocks as float64 or int64
         "list": [1, 2, 2**63 + 5, 3, 1, 2**64, 0, 4, 2, 1, 3, -(2**63) - 1] * 2,
+        # lists whose first window fails on one fault and a later block on another
+        "big-then-float": [0, 2**63 + 5] + list(range(2, 18)) + [18.5] + list(range(19, 24)),
+        "float-then-big": [0, 1.5] + list(range(2, 18)) + [2**63 + 5] + list(range(19, 24)),
     }
 
     @pytest.mark.parametrize("case", sorted(_BEYOND_INT64))
@@ -246,7 +249,7 @@ class TestErrors:
         times = np.arange(len(values), dtype=np.int64) * SECOND_NS
         cfg = RollingConfig(window=12 * SECOND_NS, step=4 * SECOND_NS)
         want = standalone_error(values, times, cfg)
-        assert isinstance(want, TypeError if case == "float" else ValueError)
+        assert isinstance(want, TypeError if case.startswith("float") else ValueError)
         with pytest.raises(type(want)) as info:
             rolling_fit(values, times, cfg)
         assert type(info.value) is type(want)
