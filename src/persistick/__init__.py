@@ -17,7 +17,6 @@ from .core import (
     StreamOrderError,
     TopStructure,
     decompose,
-    total_variation,
 )
 
 __version__ = "0.1.0"
@@ -32,6 +31,5 @@ __all__ = [
     "StreamOrderError",
     "TopStructure",
     "decompose",
-    "total_variation",
     "__version__",
 ]

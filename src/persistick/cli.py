@@ -9,6 +9,7 @@ for a fit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -164,13 +165,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     dec = decompose(v, t)
     h = histogram(dec)
     rows = ["m,n,S"] + [f"{m},{n},{s}" for n, (m, s) in zip(h.counts.tolist(), spectrum(h).points)]
-    _write_atomic(args.out, {"spectrum.csv": "\n".join(rows) + "\n"})
-    if args.no_fit:
-        return EXIT_OK
-    f = fit(h, min_tail=args.min_tail, xmin_range=args.xmin_range)
-    grid = range(f.xmin, int(h.sizes[-1]) + 1)
-    overlay = ["m,S_model"] + [f"{m},{f.amplitude * m ** -f.alpha!r}" for m in grid]
-    _write_atomic(args.out, {"fit_overlay.csv": "\n".join(overlay) + "\n"})
+    files = {"spectrum.csv": "\n".join(rows) + "\n"}
+    insufficient = None
+    if not args.no_fit:
+        try:
+            f = fit(h, min_tail=args.min_tail, xmin_range=args.xmin_range)
+        except InsufficientTailError as e:
+            insufficient = e  # exit 3, yet the spectrum is still written
+        else:
+            grid = range(f.xmin, int(h.sizes[-1]) + 1)
+            overlay = ["m,S_model"] + [f"{m},{f.amplitude * m ** -f.alpha!r}" for m in grid]
+            files["fit_overlay.csv"] = "\n".join(overlay) + "\n"
+    if "fit_overlay.csv" not in files:
+        # An earlier run's overlay must not sit beside a spectrum it was not fitted to.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, "fit_overlay.csv"))
+    _write_atomic(args.out, files)
+    if insufficient is not None:
+        raise insufficient
     return EXIT_OK
 
 

@@ -84,14 +84,12 @@ def _exact(value: str | int | Decimal | Fraction) -> Fraction:
 @dataclass(frozen=True)
 class InstrumentSpec:
     tick_size: Fraction
-    symbol: str = ""
 
-    def __init__(self, tick_size: str | int | Decimal | Fraction, symbol: str = "") -> None:
+    def __init__(self, tick_size: str | int | Decimal | Fraction) -> None:
         ts = _exact(tick_size)
         if ts <= 0:
             raise ValueError("tick size must be positive")
         object.__setattr__(self, "tick_size", ts)
-        object.__setattr__(self, "symbol", symbol)
 
 
 @dataclass(frozen=True)
@@ -612,18 +610,6 @@ def parse_ticks(
     reader = _TickReader(spec, columns, delimiter)
     rest = reader.feed_blocks(stream)
     reader.feed_rows(csv.reader(rest, delimiter=delimiter))
-    return reader.result()
-
-
-def _parse_ticks_by_row(
-    stream: IO[str] | Iterable[str],
-    spec: InstrumentSpec,
-    columns: str | Sequence[str] = "time,bid,ask",
-    delimiter: str = ",",
-) -> TickSeries:
-    """parse_ticks through the per-row path alone: the reference for tests."""
-    reader = _TickReader(spec, columns, delimiter)
-    reader.feed_rows(csv.reader(stream, delimiter=delimiter))
     return reader.result()
 
 

@@ -51,6 +51,7 @@ and every one dropped lies above a distance so measured.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -388,12 +389,28 @@ def _grid_power_sum(lo: int, n: int, alpha: float) -> float:
     return _grid_power_sum(lo, half, alpha) + _grid_power_sum(lo + half, n - half, alpha)
 
 
-def _check_settings(min_tail: int, xmin_range: tuple[int, int] | None) -> None:
-    """ValueError unless min_tail is at least 2 and xmin_range, if given, has LO <= HI."""
+def _check_settings(
+    min_tail: int, xmin_range: tuple[int, int] | None
+) -> tuple[int, tuple[int, int] | None]:
+    """min_tail and xmin_range as ints.
+
+    TypeError unless they are integers; ValueError unless min_tail is at
+    least 2 and a given xmin_range has LO <= HI.
+    """
+    try:
+        min_tail = operator.index(min_tail)
+    except TypeError:
+        raise TypeError(f"min_tail must be an integer, not {type(min_tail).__name__}") from None
     if min_tail < 2:
         raise ValueError("min_tail must be at least 2")
-    if xmin_range is not None and xmin_range[0] > xmin_range[1]:
-        raise ValueError(f"xmin_range {tuple(xmin_range)} has LO above HI")
+    if xmin_range is not None:
+        try:
+            xmin_range = tuple(map(operator.index, xmin_range))
+        except TypeError:
+            raise TypeError(f"xmin_range bounds must be integers, got {xmin_range!r}") from None
+        if xmin_range[0] > xmin_range[1]:
+            raise ValueError(f"xmin_range {xmin_range} has LO above HI")
+    return min_tail, xmin_range
 
 
 def _fit_sets(
@@ -402,7 +419,7 @@ def _fit_sets(
     xmin_range: tuple[int, int] | None,
 ) -> list[PowerLawFit | InsufficientTailError]:
     """Fit every set, or say why a set has no cutoff candidate; see fit."""
-    _check_settings(min_tail, xmin_range)
+    min_tail, xmin_range = _check_settings(min_tail, xmin_range)
     out: list = []
     sets: list[_Candidates] = []
     for data in size_sets:
@@ -428,7 +445,7 @@ def _fit_sets(
             if not usable.any():
                 out.append(InsufficientTailError(
                     f"no cutoff candidate with at least {min_tail} tail samples"
-                    f" lies in xmin_range {tuple(xmin_range)}"
+                    f" lies in xmin_range {xmin_range}"
                 ))
                 continue
         sets.append(_Candidates(len(out), ms, cs, n_suffix, logsum_suffix, np.flatnonzero(usable)))
@@ -497,7 +514,8 @@ def fit(
 
     Sizes must be at least 1, min_tail at least 2, and a given xmin_range
     (LO, HI) must have LO <= HI; ValueError otherwise, with the settings
-    checked before any size.  Every observed size is a cutoff candidate,
+    checked before any size.  min_tail and the xmin_range bounds must be
+    integers (TypeError).  Every observed size is a cutoff candidate,
     subject to the candidate tail holding at least min_tail samples (and
     at least two distinct sizes) and to the optional inclusive xmin_range.
     Each candidate gets its own maximum-likelihood exponent; the candidate

@@ -68,7 +68,9 @@ class RollingConfig:
             raise ValueError("window and step must be positive")
         if self.step > self.window:
             raise ValueError("step must not exceed window")
-        _check_settings(self.min_tail, self.xmin_range)
+        min_tail, xmin_range = _check_settings(self.min_tail, self.xmin_range)
+        object.__setattr__(self, "min_tail", min_tail)
+        object.__setattr__(self, "xmin_range", xmin_range)
 
 
 @dataclass(frozen=True)

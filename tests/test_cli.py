@@ -334,6 +334,21 @@ class TestSpectrum:
         assert (tmp_path / "spectrum.csv").exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_no_overlay_left_beside_a_spectrum_without_a_fit(self, tmp_path, capsys):
+        walk, small = tmp_path / "walk.csv", tmp_path / "small.csv"
+        write_walk_csv(walk, 30_000, seed=12)
+        write_reference_csv(small)
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = ("--tick", "0.0001", "--columns", "time,price", "--out", str(out))
+        for extra, rc in (((), 3), (("--no-fit",), 0)):
+            assert run("spectrum", str(walk), *flags) == 0
+            assert (out / "fit_overlay.csv").exists()
+            assert run("spectrum", str(small), *extra, *flags) == rc
+            assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv"]
+            assert (out / "spectrum.csv").read_text() == "m,n,S\n1,1,2\n5,1,10\n"
+        assert capsys.readouterr().err.count("error:") == 1
+
 
 class TestFit:
     def test_json_matches_library(self, tmp_path):

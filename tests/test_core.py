@@ -21,7 +21,6 @@ from persistick.core import (
     TopStructure,
     _pair_segments,
     decompose,
-    total_variation,
 )
 from persistick.oracle import decomposition_digest, gen_random_walk, level_sweep_pairs
 from persistick.powerlaw import fit
@@ -241,7 +240,7 @@ class TestConservation:
     def test_variation_splits_exactly(self, values):
         dec = stream_decompose(values)
         assert_conserved(dec)
-        assert dec.tv_total == total_variation(Sample(t, v) for t, v in enumerate(values))
+        assert dec.tv_total == sum(abs(b - a) for a, b in pairwise(values))
 
     @given(st.lists(st.integers(0, 4), max_size=60))
     @settings(max_examples=100)
@@ -264,9 +263,6 @@ class TestTypes:
     def test_pair_size(self):
         p = PersistentPair(Extremum(0, 3, Kind.MIN), Extremum(1, 9, Kind.MAX))
         assert p.size == 6
-
-    def test_total_variation_empty(self):
-        assert total_variation([]) == 0
 
     def test_top_variation(self):
         top = TopStructure([Extremum(0, 2**64, Kind.MAX), Extremum(1, -3, Kind.MIN)], Sample(2, 4))

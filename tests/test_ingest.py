@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_continuous import build_continuous_by_sample
+from reference_ingest import parse_ticks_by_row
 
 from persistick import ingest
-from persistick.core import Sample, total_variation
+from persistick.core import Sample
 from persistick.ingest import (
     CalendarError,
     InstrumentSpec,
@@ -182,20 +183,33 @@ class TestParseErrors:
         assert "line 2" in str(ei.value)
         assert "crossed" in str(ei.value)
 
-    def test_decreasing_timestamp_fails_immediately(self):
-        stream = io.StringIO("10,1.0,1.1\n20,1.0,1.1\n15,1.0,1.1\njunk,row\n")
-        with pytest.raises(TickParseError) as ei:
-            parse_ticks(stream, InstrumentSpec("0.1"))
-        assert ei.value.errors[0][0] == 3
-        assert len(ei.value.errors) == 1  # later junk never reached
-        assert "line 3" in str(ei.value)
+    @pytest.mark.parametrize("path", [parse_ticks, parse_ticks_by_row])
+    @pytest.mark.parametrize("source", ["universal", "translated", "lf"])
+    @pytest.mark.parametrize("block_chars", [7, 3 << 20])
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            (
+                "10,1.0,1.1\n20,1.0,1.1\n15,1.0,1.1\njunk,row\n",
+                (3, "timestamp decreases (15 after 20)"),
+            ),
+            # From the "lf" source the bare CR makes line 3 unreadable; it is never reached.
+            ("10,1.0,1.1\n5,1.0,1.1\n6,1.0\r,1.1\nbad\n", (2, "timestamp decreases (5 after 10)")),
+        ],
+    )
+    def test_decreasing_timestamp_fails_immediately(self, path, source, block_chars, text, want):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            with pytest.raises(TickParseError) as ei:
+                path(_SOURCES[source](text), InstrumentSpec("0.1"))
+        assert ei.value.errors == [want]  # later rows never reached
+        assert f"line {want[0]}" in str(ei.value)
 
     def test_equal_timestamps_allowed(self):
         stream = io.StringIO("10,1.0,1.1\n10,1.2,1.3\n")
         samples = parse_ticks(stream, InstrumentSpec("0.1"))
         assert len(samples) == 2
 
-    @pytest.mark.parametrize("path", [parse_ticks, ingest._parse_ticks_by_row])
+    @pytest.mark.parametrize("path", [parse_ticks, parse_ticks_by_row])
     def test_bare_cr_in_a_line_without_universal_newlines(self, path):
         stream = io.StringIO("0,1.0,1.1\n1,1.0\r,1.1\n2,1.0,1.1\n", newline="\n")
         with pytest.raises(TickParseError) as ei:
@@ -203,7 +217,7 @@ class TestParseErrors:
         assert [ln for ln, _ in ei.value.errors] == [2]
         assert "line 2: unreadable row" in str(ei.value)
 
-    @pytest.mark.parametrize("path", [parse_ticks, ingest._parse_ticks_by_row])
+    @pytest.mark.parametrize("path", [parse_ticks, parse_ticks_by_row])
     @pytest.mark.parametrize("source", ["universal", "translated", "lf", "list"])
     @pytest.mark.parametrize("block_chars", [7, 3 << 20])
     def test_line_numbers_are_physical_after_a_multiline_record(self, path, source, block_chars):
@@ -234,7 +248,7 @@ class TestParseErrors:
         assert "and 2 more" in str(ei.value)
 
 
-PATHS = [parse_ticks, ingest._parse_ticks_by_row]
+PATHS = [parse_ticks, parse_ticks_by_row]
 
 
 class TestRowGrammar:
@@ -326,7 +340,7 @@ def _outcome(parse, source, text, spec, columns, delimiter=","):
 def _assert_paths_agree(text, spec, columns, delimiter=",", block_chars=(1, 7, 3 << 20)):
     """parse_ticks agrees with the per-row path, for every source and block size."""
     for source in _SOURCES:
-        want = _outcome(ingest._parse_ticks_by_row, source, text, spec, columns, delimiter)
+        want = _outcome(parse_ticks_by_row, source, text, spec, columns, delimiter)
         for chars in block_chars:
             with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
                 assert _outcome(parse_ticks, source, text, spec, columns, delimiter) == want
@@ -428,7 +442,7 @@ class TestBlockParserMatchesRowPath:
     @settings(max_examples=300, deadline=None)
     def test_same_ticks_and_errors(self, case, block_chars, source):
         text, spec, columns, delimiter = case
-        want = _outcome(ingest._parse_ticks_by_row, source, text, spec, columns, delimiter)
+        want = _outcome(parse_ticks_by_row, source, text, spec, columns, delimiter)
         with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
             got = _outcome(parse_ticks, source, text, spec, columns, delimiter)
         assert got == want
@@ -461,7 +475,7 @@ class TestBlockParserMatchesRowPath:
         spec = InstrumentSpec("0.25")
         with mock.patch.object(ingest._TickReader, "_row", side_effect=AssertionError):
             got = _outcome(parse_ticks, source, text, spec, layout)
-        assert got == _outcome(ingest._parse_ticks_by_row, source, text, spec, layout)
+        assert got == _outcome(parse_ticks_by_row, source, text, spec, layout)
 
     @pytest.mark.parametrize(
         "text",
@@ -489,9 +503,7 @@ class TestInstrumentSpec:
             InstrumentSpec(0.01)
 
     def test_exact_storage(self):
-        spec = InstrumentSpec("0.0001", symbol="6E")
-        assert spec.tick_size == Fraction(1, 10000)
-        assert spec.symbol == "6E"
+        assert InstrumentSpec("0.0001").tick_size == Fraction(1, 10000)
 
 
 class TestRollRule:
@@ -658,7 +670,7 @@ class TestBuildContinuous:
         def tv(vals):
             return sum(abs(d) for d in diffs(vals))
 
-        assert total_variation(out) == tv(seg_a_raw) + tv(seg_b_raw) + tv(seg_c_raw)
+        assert tv(got) == tv(seg_a_raw) + tv(seg_b_raw) + tv(seg_c_raw)
 
     def test_input_order_does_not_matter(self):
         rule, _, _, a, b, c = self._three_contracts()

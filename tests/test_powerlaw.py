@@ -205,6 +205,23 @@ class TestSizeChecks:
         assert not isinstance(info.value, InsufficientTailError)
         assert fit(sizes, xmin_range=(5, 5)).xmin == 5
 
+    @pytest.mark.parametrize(
+        "settings, name",
+        [
+            ({"min_tail": 50.5}, "min_tail"),
+            ({"min_tail": "50"}, "min_tail"),
+            ({"xmin_range": (2.5, 3.5)}, "xmin_range"),
+            ({"xmin_range": (2, "9")}, "xmin_range"),
+        ],
+    )
+    def test_settings_that_are_not_integers(self, settings, name):
+        sizes = gen_discrete_powerlaw(2_000, 2.5, 2, seed=17)
+        for run in (fit, lambda s, **kw: fit_many([s], **kw)):
+            with pytest.raises(TypeError, match=name):
+                run(sizes, **settings)
+        want = fit(sizes, min_tail=50, xmin_range=(2, 9))
+        assert fit(sizes, min_tail=np.int64(50), xmin_range=[np.uint8(2), np.int32(9)]) == want
+
     def test_short_tail_names_min_tail(self):
         with pytest.raises(InsufficientTailError, match="at least 50 tail samples") as info:
             fit([3, 4, 5, 6], xmin_range=(3, 6))

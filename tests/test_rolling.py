@@ -83,6 +83,15 @@ class TestConfig:
             RollingConfig(xmin_range=(9, 2))
         assert RollingConfig(min_tail=2, xmin_range=(2, 2)).xmin_range == (2, 2)
 
+    def test_integer_fit_settings(self):
+        with pytest.raises(TypeError, match="min_tail must be an integer"):
+            RollingConfig(min_tail=7.5)
+        with pytest.raises(TypeError, match="xmin_range bounds must be integers"):
+            RollingConfig(xmin_range=(2.5, 3.5))
+        cfg = RollingConfig(min_tail=np.int64(7), xmin_range=[np.uint8(2), 9])
+        assert (cfg.min_tail, cfg.xmin_range) == (7, (2, 9))
+        assert type(cfg.min_tail) is int and all(type(x) is int for x in cfg.xmin_range)
+
 
 class TestGrid:
     def test_window_count_and_spacing(self):
