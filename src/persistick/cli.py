@@ -26,7 +26,8 @@ from .core import Decomposer, Decomposition, _pair_segments, decompose
 from .ingest import CalendarError, InstrumentSpec, RollRule, _contract_expiries, build_continuous
 from .ingest import parse_ticks
 from .oracle import decomposition_digest, gen_discrete_powerlaw, gen_random_walk, level_sweep_pairs
-from .powerlaw import InsufficientTailError, _check_settings, fit, mle_count_exponent
+from .powerlaw import DEFAULT_MIN_TAIL, InsufficientTailError, _check_settings, fit
+from .powerlaw import mle_count_exponent
 from .rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
 from .spectrum import histogram, spectrum
 
@@ -67,18 +68,30 @@ def _write_atomic(directory: str, files: dict[str, str | Iterable[str]]) -> None
         raise
 
 
+def _flag_ints(text: str, parts: Iterable[str], form: str) -> list[int]:
+    """The parts of a flag's text as ints; an argparse error naming the expected form if not."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
 def _parse_duration(text: str) -> int:
     """Duration to nanoseconds: 8w, 56d, 12h, 3600000000000ns, bare int = weeks."""
-    s = text.strip().lower()
-    for suffix, unit in (("ns", 1), ("w", WEEK_NS), ("d", DAY_NS), ("h", _HOUR_NS)):
+    s, unit = text.strip().lower(), WEEK_NS
+    for suffix, ns in (("ns", 1), ("w", WEEK_NS), ("d", DAY_NS), ("h", _HOUR_NS)):
         if s.endswith(suffix):
-            return int(s[: -len(suffix)]) * unit
-    return int(s) * WEEK_NS
+            s, unit = s[: -len(suffix)], ns
+            break
+    return _flag_ints(text, [s], "an integer with a unit w (the default), d, h or ns")[0] * unit
 
 
 def _parse_xmin_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    return tuple(_flag_ints(text, text.partition(":")[::2], "LO:HI, e.g. 5:40"))
+
+
+def _parse_months(text: str) -> list[int]:
+    return _flag_ints(text, text.split(","), "comma-separated months, e.g. 3,6,9,12")
 
 
 def _load_series(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
@@ -364,14 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
 
     def add_fit_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--min-tail", type=int, default=50, dest="min_tail")
-        p.add_argument(
-            "--xmin-range",
-            type=_parse_xmin_range,
-            default=None,
-            dest="xmin_range",
-            metavar="LO:HI",
-        )
+        p.add_argument("--min-tail", type=int, default=DEFAULT_MIN_TAIL)
+        p.add_argument("--xmin-range", type=_parse_xmin_range, metavar="LO:HI")
 
     p = sub.add_parser("decompose", help="emit pairs, top structure, and summary")
     add_io(p)
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="emit size spectrum and fitted overlay")
     add_io(p)
     add_fit_flags(p)
-    p.add_argument("--no-fit", action="store_true", dest="no_fit")
+    p.add_argument("--no-fit", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fit", help="fit the movement-size power law")
@@ -393,20 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rolling", help="windowed scaling estimates")
     add_io(p)
     add_fit_flags(p)
-    p.add_argument("--window", type=_parse_duration, default=8 * WEEK_NS)
-    p.add_argument("--step", type=_parse_duration, default=2 * WEEK_NS)
+    p.add_argument("--window", type=_parse_duration, default=RollingConfig.window)
+    p.add_argument("--step", type=_parse_duration, default=RollingConfig.step)
     p.set_defaults(func=cmd_rolling)
 
     p = sub.add_parser("continuous", help="splice contracts into a continuous series")
     p.add_argument("contracts", nargs="+", metavar="ID=FILE")
     add_io(p, with_input=False)
     p.add_argument("--calendar", required=True, help="file of contract_id,expiry_date")
-    p.add_argument("--days-before-expiry", type=int, default=6, dest="days_before_expiry")
-    p.add_argument(
-        "--months",
-        type=lambda s: frozenset(int(x) for x in s.split(",")),
-        default=frozenset({3, 6, 9, 12}),
-    )
+    p.add_argument("--days-before-expiry", type=int, default=RollRule.days_before_expiry)
+    p.add_argument("--months", type=_parse_months, default=RollRule.eligible_months)
     p.set_defaults(func=cmd_continuous)
 
     p = sub.add_parser("selftest", help="run built-in consistency checks")

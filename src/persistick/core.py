@@ -130,6 +130,14 @@ def _as_int64(data: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} must lie in the int64 range") from None
 
 
+def _as_index(value: object, message: str) -> int:
+    """A scalar setting as a Python int via operator.index; TypeError(message) unless an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(message) from None
+
+
 def _exact_sum(a: np.ndarray) -> int:
     """Sum of a non-negative integer array, exact: in int64 where a.size * max(a) fits."""
     if a.dtype == np.int64 and a.size * int(a.max(initial=0)) <= _INT64_MAX:

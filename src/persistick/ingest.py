@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, _INT64_MIN, Sample, _as_int64
+from .core import _INT64_MAX, _INT64_MIN, Sample, _as_index, _as_int64
 
 __all__ = [
     "InstrumentSpec",
@@ -83,10 +83,10 @@ def _exact(value: str | int | Decimal | Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class InstrumentSpec:
-    tick_size: Fraction
+    tick_size: Fraction  # given as str, int, Decimal or Fraction
 
-    def __init__(self, tick_size: str | int | Decimal | Fraction) -> None:
-        ts = _exact(tick_size)
+    def __post_init__(self) -> None:
+        ts = _exact(self.tick_size)
         if ts <= 0:
             raise ValueError("tick size must be positive")
         object.__setattr__(self, "tick_size", ts)
@@ -96,24 +96,21 @@ class InstrumentSpec:
 class RollRule:
     """When to leave each contract: N calendar days before eligible expiries."""
 
-    calendar: tuple[tuple[str, date], ...]
+    calendar: tuple[tuple[str, date], ...]  # any iterable of (contract_id, expiry)
     days_before_expiry: int = 6
-    eligible_months: frozenset[int] = frozenset({3, 6, 9, 12})
+    eligible_months: frozenset[int] = frozenset({3, 6, 9, 12})  # any iterable of ints
 
-    def __init__(
-        self,
-        calendar: Iterable[tuple[str, date]],
-        days_before_expiry: int = 6,
-        eligible_months: Iterable[int] = (3, 6, 9, 12),
-    ) -> None:
-        cal = tuple(calendar)
-        months = frozenset(eligible_months)
-        days_before_expiry = operator.index(days_before_expiry)
-        if days_before_expiry < 0:
+    def __post_init__(self) -> None:
+        days = self.days_before_expiry
+        days = _as_index(days, f"days_before_expiry must be an integer, not {type(days).__name__}")
+        if days < 0:
             raise ValueError("days_before_expiry must be non-negative")
+        message = "eligible_months must hold integers, got {!r}"
+        months = frozenset(_as_index(m, message.format(m)) for m in self.eligible_months)
         outside = sorted(m for m in months if not 1 <= m <= 12)
         if outside:
             raise ValueError(f"eligible month {outside[0]} is not in 1-12")
+        cal = tuple(self.calendar)
         if any(b[1] < a[1] for a, b in zip(cal, cal[1:])):
             raise CalendarError("calendar must be sorted by expiry date")
         seen: set[str] = set()
@@ -125,7 +122,7 @@ class RollRule:
             if day == next_day:
                 raise CalendarError(f"contracts {a!r} and {b!r} share the expiry {day}")
         object.__setattr__(self, "calendar", cal)
-        object.__setattr__(self, "days_before_expiry", days_before_expiry)
+        object.__setattr__(self, "days_before_expiry", days)
         object.__setattr__(self, "eligible_months", months)
 
     def roll_time_ns(self, expiry: date) -> int:
@@ -218,8 +215,6 @@ class TickSeries(_SequenceABC):
         if not isinstance(other, _SequenceABC):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"TickSeries({len(self)} samples)"
@@ -581,8 +576,6 @@ class _TickReader:
     def result(self) -> TickSeries:
         if self.errors:
             raise TickParseError(self.errors)
-        if not self.times:
-            return TickSeries(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         return TickSeries(np.concatenate(self.times), np.concatenate(self.values))
 
 

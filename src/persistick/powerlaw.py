@@ -51,14 +51,13 @@ and every one dropped lies above a distance so measured.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import zeta
 
-from .core import Decomposition
+from .core import Decomposition, _as_index
 from .spectrum import SizeHistogram, histogram
 
 __all__ = [
@@ -395,19 +394,18 @@ def _check_settings(
     """min_tail and xmin_range as ints.
 
     TypeError unless they are integers; ValueError unless min_tail is at
-    least 2 and a given xmin_range has LO <= HI.
+    least 2 and a given xmin_range is two bounds (LO, HI) with LO <= HI.
     """
-    try:
-        min_tail = operator.index(min_tail)
-    except TypeError:
-        raise TypeError(f"min_tail must be an integer, not {type(min_tail).__name__}") from None
+    min_tail = _as_index(min_tail, f"min_tail must be an integer, not {type(min_tail).__name__}")
     if min_tail < 2:
         raise ValueError("min_tail must be at least 2")
     if xmin_range is not None:
-        try:
-            xmin_range = tuple(map(operator.index, xmin_range))
-        except TypeError:
-            raise TypeError(f"xmin_range bounds must be integers, got {xmin_range!r}") from None
+        message = f"xmin_range bounds must be integers, got {xmin_range!r}"
+        if not isinstance(xmin_range, Iterable):
+            raise TypeError(message)
+        xmin_range = tuple(_as_index(x, message) for x in xmin_range)
+        if len(xmin_range) != 2:
+            raise ValueError(f"xmin_range must be two bounds (LO, HI), got {xmin_range!r}")
         if xmin_range[0] > xmin_range[1]:
             raise ValueError(f"xmin_range {xmin_range} has LO above HI")
     return min_tail, xmin_range

@@ -31,14 +31,14 @@ dropped, keeping the output grid regular.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .core import _as_int64, _as_times, _check_variation, _exact_sum, _pair_segments, decompose
+from .core import _as_index, _as_int64, _as_times, _check_variation, _exact_sum, _pair_segments
+from .core import decompose
 from .powerlaw import DEFAULT_MIN_TAIL, PowerLawFit, _check_settings, fit_many
 from .powerlaw import fit  # noqa: F401  # bench/tracing.py wraps rolling.fit
 from .spectrum import histogram
@@ -60,10 +60,8 @@ class RollingConfig:
 
     def __post_init__(self) -> None:
         for name in ("window", "step"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer number of nanoseconds") from None
+            message = f"{name} must be an integer number of nanoseconds"
+            object.__setattr__(self, name, _as_index(getattr(self, name), message))
         if self.step <= 0 or self.window <= 0:
             raise ValueError("window and step must be positive")
         if self.step > self.window:

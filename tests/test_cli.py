@@ -19,8 +19,8 @@ from persistick.cli import _parse_duration, _parse_xmin_range, main
 from persistick.core import Decomposition, Sample, decompose
 from persistick.ingest import InstrumentSpec, build_continuous, parse_ticks, RollRule
 from persistick.oracle import gen_random_walk
-from persistick.powerlaw import fit
-from persistick.rolling import DAY_NS, WEEK_NS
+from persistick.powerlaw import DEFAULT_MIN_TAIL, fit
+from persistick.rolling import DAY_NS, WEEK_NS, RollingConfig, RollingPoint, rolling_fit
 
 DATA = Path(__file__).parent / "data"
 REFERENCE_VALUES = [3, 6, 0, 7, 2, 5, 4, 8]
@@ -58,6 +58,40 @@ class TestHelpers:
 
     def test_parse_xmin_range(self):
         assert _parse_xmin_range("5:40") == (5, 40)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["continuous", "H24=q.csv", "--calendar", "c.csv", "--months", "3,x"],
+            ["fit", "q.csv", "--xmin-range", "5"],
+            ["rolling", "q.csv", "--window", "1.5w"],
+        ],
+        ids=["months", "xmin-range", "window"],
+    )
+    def test_flag_errors_name_the_flag_and_its_form(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--tick", "0.01")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: expected " in err and f"got {argv[-1]!r}" in err
+        assert "<lambda>" not in err and "_parse_" not in err
+
+    def test_defaults_are_the_library_s(self):
+        parser = cli.build_parser()
+        cfg = RollingConfig()
+        args = parser.parse_args(["rolling", "q.csv", "--tick", "0.01"])
+        assert (args.window, args.step, args.min_tail, args.xmin_range) == (
+            cfg.window, cfg.step, cfg.min_tail, cfg.xmin_range
+        )
+        for command in ("fit", "spectrum"):
+            args = parser.parse_args([command, "q.csv", "--tick", "0.01"])
+            assert (args.min_tail, args.xmin_range) == (DEFAULT_MIN_TAIL, None)
+        rule = RollRule([])
+        args = parser.parse_args(["continuous", "H24=q.csv", "--calendar", "c.csv", "--tick", "1"])
+        assert RollRule([], args.days_before_expiry, args.months) == rule
+        assert parser.parse_args(
+            ["continuous", "H24=q.csv", "--calendar", "c.csv", "--tick", "1", "--months", "3,12"]
+        ).months == [3, 12]
 
 
 class TestDecompose:
@@ -493,7 +527,7 @@ class TestContinuous:
     def test_three_contract_bytes(self, tmp_path):
         _, argv = self._three_contracts(tmp_path)
         assert run(*argv) == 0
-        assert (tmp_path / "continuous.csv").read_bytes() == (
+        want = (
             b"time,value_ticks\n"
             b"1709769600000000000,10000\n"
             b"1709856000000000000,10004\n"
@@ -505,6 +539,13 @@ class TestContinuous:
             b"1718496000000000000,10004\n"
             b"1718582400000000000,10009\n"
         )
+        assert (tmp_path / "continuous.csv").read_bytes() == want
+        # Blank calendar lines are skipped.
+        (tmp_path / "calendar.csv").write_text(
+            "\nH24,2024-03-15\n\nM24,2024-06-21\n  \nU24,2024-09-20\n\n"
+        )
+        assert run(*argv) == 0
+        assert (tmp_path / "continuous.csv").read_bytes() == want
 
     def test_golden_file(self, tmp_path):
         # CI runs the installed console script on the same files and cmp's the result.
@@ -863,6 +904,18 @@ class TestSelftest:
         assert "oracle equivalence: ok (40 walks)" in out
         assert "stream equivalence: ok (40 walks)" in out
         assert "segment equivalence: FAIL (40 walks)" in out
+
+    def test_window_check_reads_insufficient_windows(self):
+        # A plateau leaves its windows without pairs: they agree as insufficient_tail.
+        _, v = gen_random_walk(4_000, seed=2, kind="pm1")
+        v = np.concatenate([v, np.full(4_000, v[-1])])
+        t = np.arange(v.size, dtype=np.int64)
+        cfg = RollingConfig(window=2_000, step=2_000)
+        points = rolling_fit(v, t, cfg)
+        assert [p.status for p in points] == ["ok", "ok", "insufficient_tail"]
+        assert cli._windows_agree(t, v, cfg, points)
+        flipped = [p if p.fit else RollingPoint(p.window_end, None, 0, "ok") for p in points]
+        assert not cli._windows_agree(t, v, cfg, flipped)
 
     def test_checks_the_batch_fit(self, capsys, monkeypatch):
         # Every window's fit handed to its neighbour: only the batch fit check sees it.

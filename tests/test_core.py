@@ -136,6 +136,9 @@ class TestBatchDecompose:
     def test_rejects_float_values(self):
         with pytest.raises(TypeError):
             decompose(np.array([1.0, 2.0]))
+        for values in (np.array(["1", "2"]), np.array([1 + 0j, 2 + 0j])):
+            with pytest.raises(TypeError, match="values must be integers"):
+                decompose(values)
         # numpy reads each of these lists as float64 or object; the items decide.
         for values in ([1, 2.5], [1, Fraction(3, 2)], [2**63, 0.5], [2**64, 1.0]):
             with pytest.raises(TypeError, match="must be integers"):

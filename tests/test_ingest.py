@@ -6,6 +6,7 @@ import calendar as _cal
 import csv
 import io
 import random
+import re
 from datetime import date, datetime, timedelta, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
@@ -310,11 +311,16 @@ class TestTickSeries:
         assert list(got) == [Sample(0, 5), Sample(1, 6)]
         assert got != [Sample(0, 5)]
         assert got == TickSeries(np.array([0, 1]), np.array([5, 6]))
+        assert (got == 5) is False
+        assert repr(got) == "TickSeries(2 samples)"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(got)
 
     def test_empty_input(self):
         for text in ("", "\n\n", "  \r\n"):
             got = parse_ticks(io.StringIO(text), InstrumentSpec(1))
             assert len(got) == 0 and got == []
+            assert got.times.dtype == got.values.dtype == np.int64
 
 
 # How a quote file can reach parse_ticks.  Universal-newline streams take
@@ -565,6 +571,39 @@ class TestRollRule:
 
     def test_integer_days_kept(self):
         assert RollRule([], days_before_expiry=np.int64(3)).days_before_expiry == 3
+
+    @pytest.mark.parametrize("days", [1.5, "6"])
+    def test_days_error_names_the_setting(self, days):
+        message = f"^days_before_expiry must be an integer, not {type(days).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            RollRule([], days_before_expiry=days)
+
+    @pytest.mark.parametrize("month", [3.5, 3.0, "3"])
+    def test_months_must_be_integers(self, month):
+        # 3.5 left every contract ineligible, and "3" failed inside the range check.
+        message = f"^eligible_months must hold integers, got {re.escape(repr(month))}$"
+        with pytest.raises(TypeError, match=message):
+            RollRule([], eligible_months=[month])
+
+    def test_integer_months_kept_as_ints(self):
+        rule = RollRule([], eligible_months=[np.int64(3), np.uint8(12)])
+        assert rule.eligible_months == {3, 12}
+        assert all(type(m) is int for m in rule.eligible_months)
+
+    def test_fields_declared_once(self):
+        cal = [("H24", date(2024, 3, 15))]
+        rule = RollRule(cal)
+        assert rule == RollRule(cal, 6, (3, 6, 9, 12))
+        assert hash(rule) == hash(RollRule(calendar=cal, days_before_expiry=6))
+        assert rule != RollRule(cal, 5)
+        assert repr(rule) == (
+            "RollRule(calendar=(('H24', datetime.date(2024, 3, 15)),), days_before_expiry=6,"
+            " eligible_months=frozenset({9, 3, 12, 6}))"
+        )
+        spec = InstrumentSpec("0.01")
+        assert spec == InstrumentSpec(tick_size=Fraction(1, 100))
+        assert hash(spec) == hash(InstrumentSpec(Decimal("0.010")))
+        assert repr(spec) == "InstrumentSpec(tick_size=Fraction(1, 100))"
 
 
 def _mk(times_values):

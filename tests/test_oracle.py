@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistick.core import decompose
+from persistick.core import StreamOrderError, decompose
 from persistick.oracle import (
     decomposition_digest,
     gen_discrete_powerlaw,
@@ -51,6 +51,10 @@ class TestLevelSweep:
         assert one.top.pending is not None and one.tv_total == 0
         const = level_sweep_pairs([4, 4, 4])
         assert const.pairs == [] and const.tv_total == 0
+        with pytest.raises(ValueError, match="length mismatch"):
+            level_sweep_pairs([1, 2, 3], [0, 1])
+        with pytest.raises(StreamOrderError):
+            level_sweep_pairs([1, 2, 3], [0, 2, 1])
 
     @given(st.lists(st.integers(0, 3), max_size=40))
     @settings(max_examples=100)
@@ -87,6 +91,8 @@ class TestGenerators:
         steps = np.diff(v)
         assert set(np.unique(steps).tolist()) <= {-1, 0, 1}
         assert 0.2 < float(np.mean(steps == 0)) < 0.4
+        t, v = gen_random_walk(0, seed=0)
+        assert t.shape == v.shape == (0,) and t.dtype == v.dtype == np.int64
 
     def test_walk_offsets(self):
         t, v = gen_random_walk(10, seed=0, kind="pm1", start=100, t0=50, dt=3)

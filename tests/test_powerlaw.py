@@ -212,6 +212,7 @@ class TestSizeChecks:
             ({"min_tail": "50"}, "min_tail"),
             ({"xmin_range": (2.5, 3.5)}, "xmin_range"),
             ({"xmin_range": (2, "9")}, "xmin_range"),
+            ({"xmin_range": 5}, "xmin_range"),
         ],
     )
     def test_settings_that_are_not_integers(self, settings, name):
@@ -221,6 +222,14 @@ class TestSizeChecks:
                 run(sizes, **settings)
         want = fit(sizes, min_tail=50, xmin_range=(2, 9))
         assert fit(sizes, min_tail=np.int64(50), xmin_range=[np.uint8(2), np.int32(9)]) == want
+
+    @pytest.mark.parametrize("bounds", [(2,), (2, 9, 1), ()])
+    def test_range_holds_exactly_two_bounds(self, bounds):
+        # One bound was an IndexError, and a third was ignored.
+        sizes = gen_discrete_powerlaw(2_000, 2.5, 2, seed=17)
+        for run in (fit, lambda s, **kw: fit_many([s], **kw)):
+            with pytest.raises(ValueError, match=r"^xmin_range must be two bounds \(LO, HI\), got "):
+                run(sizes, xmin_range=bounds)
 
     def test_short_tail_names_min_tail(self):
         with pytest.raises(InsufficientTailError, match="at least 50 tail samples") as info:

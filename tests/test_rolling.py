@@ -92,6 +92,11 @@ class TestConfig:
         assert (cfg.min_tail, cfg.xmin_range) == (7, (2, 9))
         assert type(cfg.min_tail) is int and all(type(x) is int for x in cfg.xmin_range)
 
+    @pytest.mark.parametrize("bounds", [(2,), (2, 9, 1)])
+    def test_xmin_range_holds_exactly_two_bounds(self, bounds):
+        with pytest.raises(ValueError, match=r"^xmin_range must be two bounds \(LO, HI\), got "):
+            RollingConfig(xmin_range=bounds)
+
 
 class TestGrid:
     def test_window_count_and_spacing(self):
@@ -206,6 +211,10 @@ class TestErrors:
         times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)
         with pytest.raises(ValueError):
             rolling_fit(values, times, RollingConfig(window=200 * SECOND_NS))
+        # With the default 2-week step the line above fails in RollingConfig.
+        cfg = RollingConfig(window=200 * SECOND_NS, step=SECOND_NS)
+        with pytest.raises(ValueError, match="^window exceeds the series span$"):
+            rolling_fit(values, times, cfg)
 
     def test_float_times(self):
         times, values = gen_random_walk(100, seed=1, kind="pm1", dt=SECOND_NS)

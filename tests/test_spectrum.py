@@ -36,6 +36,9 @@ class TestHistogram:
         assert histogram(np.array([2, 2, 4])).entries == {2: 2, 4: 1}
         with pytest.raises(TypeError):
             histogram(np.array([2.0, 4.0]))
+        for bad in (np.array(["2", "4"]), np.array([2 + 0j, 4 + 0j])):
+            with pytest.raises(TypeError, match="must be integers"):
+                histogram(bad)
         for sizes in ([2, 4.0], [2, Fraction(4)], [2**63, 0.5]):
             with pytest.raises(TypeError, match="must be integers"):
                 histogram(sizes)
@@ -64,6 +67,7 @@ class TestHistogram:
         assert histogram([3, 1, 3]) == _hist([1, 3], [1, 2])
         assert histogram([3, 1, 3]) != _hist([1, 3], [2, 1])
         assert histogram([]) == _hist([], [])
+        assert (histogram([3]) == 5) is False
 
     def test_count_sum_invariant(self):
         h = histogram([_pair(s) for s in [1, 1, 3, 5, 5, 5]])
